@@ -37,8 +37,6 @@ func main() {
 	backendFlag := flag.String("backend", "sim",
 		"execution backend: "+strings.Join(core.BackendNames(), ", ")+
 			"; native rt digests cover only the deterministic counters")
-	simWorkersFlag := flag.Int("simworkers", 1,
-		"shard each simulated machine across N goroutines; digests must stay byte-identical to -simworkers 1 (lines are tagged when N > 1)")
 	flag.Parse()
 
 	scale, err := bench.ParseScale(*scaleFlag)
@@ -70,12 +68,11 @@ func main() {
 			cfg := core.DefaultConfig(nc)
 			cfg.Mapper = *mapperFlag
 			cfg.Backend = *backendFlag
-			cfg.SimWorkers = *simWorkersFlag
 			lines, err := cellLines(b, nc, cfg)
 			if err != nil {
 				fatal(fmt.Errorf("%s @%dc: %w", name, nc, err))
 			}
-			for _, l := range tagSimWorkers(lines, cfg.SimWorkers) {
+			for _, l := range lines {
 				fmt.Println(l)
 			}
 		}
@@ -88,22 +85,6 @@ func sortStrings(names []string) []string {
 	s := append([]string(nil), names...)
 	sort.Strings(s)
 	return s
-}
-
-// tagSimWorkers marks digest lines produced by a tile-parallel machine
-// (simworkers > 1). The digest body is untouched: the simulator guarantees
-// bit-identical Stats for every SimWorkers value, so a tagged line must
-// equal its untagged twin up to the tag — which is exactly what the golden
-// corpus pins.
-func tagSimWorkers(lines []string, simWorkers int) []string {
-	if simWorkers <= 1 {
-		return lines
-	}
-	out := make([]string, len(lines))
-	for i, l := range lines {
-		out[i] = fmt.Sprintf("%s simworkers=%d", l, simWorkers)
-	}
-	return out
 }
 
 // cellLines fingerprints one (app, cores) cell. Single-phase apps emit

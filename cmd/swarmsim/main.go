@@ -48,8 +48,6 @@ func main() {
 	csvOut := flag.Bool("csv", false,
 		"emit one machine-readable CSV row per app instead of the report (-impl swarm only; swarmd serves the same format)")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent simulations for multi-benchmark runs")
-	simWorkers := flag.Int("simworkers", 1,
-		"shard one simulated machine across N goroutines (results are bit-identical; 1 = single-threaded)")
 	flag.Parse()
 
 	// Validate every selector flag up front against the registries, before
@@ -70,9 +68,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := harness.ValidateBackend(*backendF); err != nil {
-		log.Fatal(err)
-	}
-	if err := harness.ValidateSimWorkers(*simWorkers); err != nil {
 		log.Fatal(err)
 	}
 	if *csvOut && *impl != "swarm" {
@@ -113,7 +108,6 @@ func main() {
 			cfg.Seed = *seed
 			cfg.Mapper = *mapper
 			cfg.Backend = *backendF
-			cfg.SimWorkers = *simWorkers
 			if *cq > 0 {
 				cfg.CommitQPerCore = *cq
 			}

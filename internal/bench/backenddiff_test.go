@@ -41,6 +41,13 @@ import (
 
 var rtBackends = []string{"rt", "rt-conservative"}
 
+func diffCores(short bool) []int {
+	if short {
+		return []int{1, 16}
+	}
+	return []int{1, 4, 16, 64}
+}
+
 // tieSensitive marks apps whose committed memory legitimately depends
 // on the unspecified equal-timestamp commit order.
 var tieSensitive = map[string]bool{"msf": true, "kcore": true, "des": true}

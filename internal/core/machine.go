@@ -155,10 +155,6 @@ type Machine struct {
 	taskGrave []*task
 	graveHead int
 
-	// par is the tile-parallel shard runtime (cfg.SimWorkers > 1); nil on
-	// the single-threaded path. See parallel.go.
-	par *parRuntime
-
 	st      internalStats
 	tracer  *tracer
 	started bool
@@ -217,9 +213,6 @@ func NewMachine(cfg Config, prog *Program) (*Machine, error) {
 	}
 	if cfg.TraceInterval > 0 {
 		m.tracer = newTracer(m)
-	}
-	if cfg.SimWorkers > 1 {
-		m.par = newParRuntime(m)
 	}
 	return m, nil
 }
@@ -343,13 +336,7 @@ func (m *Machine) RunPhase() (PhaseStats, error) {
 	if limit != 0 {
 		limit += m.snap.cycle // per-phase budget, absolute engine cycle
 	}
-	if m.par != nil {
-		m.par.start()
-	}
 	err := m.eng.Run(limit)
-	if m.par != nil {
-		m.par.stopWorkers()
-	}
 	m.running = false
 	if err != nil {
 		return PhaseStats{}, fmt.Errorf("core: %w (likely livelock: %s)", err, m.describeState())
@@ -461,7 +448,6 @@ func (m *Machine) allocTask() *task {
 		t.slot = -1
 		t.ws0Bits = t.ws0Bits[:0]
 		t.rs0Bits = t.rs0Bits[:0]
-		t.parJob = nil
 		return t
 	}
 	t := &task{core: -1, lastCore: -1, heapIdx: -1, cqIdx: -1, slot: -1}
@@ -708,12 +694,6 @@ func (m *Machine) taskEvent(t *task) {
 		return
 	}
 	c := m.cores[t.core]
-	if t.parJob != nil {
-		// The continuation ran ahead on a shard worker (parallel mode);
-		// join it and consume its op at this, the serial fire cycle.
-		m.handleOp(c, t, m.collect(t))
-		return
-	}
 	switch t.pend {
 	case pendStart:
 		m.startBody(c, t)
@@ -732,9 +712,6 @@ func (m *Machine) schedule(t *task, delay uint64, kind pendKind, val uint64) {
 	t.pend = kind
 	t.pendVal = val
 	t.pendingEv = m.eng.After(delay, t.evFn)
-	if m.par != nil {
-		m.par.maybeOffload(t, kind)
-	}
 }
 
 // dispatch implements dequeue_task on a free core: run a coalescer if the

@@ -8,7 +8,7 @@
 // The frontier is pure guest code over the guest.Env op surface (Load,
 // Store, Work, EnqueueHinted), so it runs unchanged on every execution
 // backend — the cycle-level simulator, the native speculative runtime and
-// the conservative runtime — and under any SimWorkers sharding.
+// the conservative runtime.
 //
 // # Model
 //

@@ -4,24 +4,22 @@
 // compute, enqueue, ...) is surrendered to the simulator, which times it,
 // applies it atomically, and resumes the guest.
 //
-// Two transports implement the surrender: Coroutine runs the guest on its
-// own goroutine with a strict rendezvous per operation (used when several
-// guests interleave: Swarm cores, baseline threads), and direct execution,
-// where the simulator embeds an Env that applies operations inline (used
-// for single-threaded serial baselines and the oracle profiler, which need
-// no interleaving).
+// Two transports implement the surrender: Coroutine runs the guest as an
+// iter.Pull coroutine, switching stacks on the caller's goroutine once per
+// operation (used when several guests interleave: Swarm cores, baseline
+// threads), and direct execution, where the simulator embeds an Env that
+// applies operations inline (used for single-threaded serial baselines and
+// the oracle profiler, which need no interleaving).
 //
 // Guest code obeys a purity contract: between surrendered operations a
 // body touches only coroutine-local state (locals, its Env, read-only
 // captured data) — every machine-visible effect flows through a yielded
-// Op. The contract is what makes simulations deterministic, and it is
-// what lets the tile-parallel machine (core.Config.SimWorkers) run a
-// coroutine's next segment ahead of its event on another goroutine: the
-// segment's only output is the next Op, consumed by the sequencer at the
-// exact cycle the serial machine would produce it. A Coroutine is never
-// resumed concurrently, but consecutive Resume calls may come from
-// different goroutines (iter.Pull supports sequential cross-goroutine
-// use); the parallel runtime orders each handoff with an atomic flag.
+// Op. Three things rest on it. Simulations are deterministic: a run is a
+// function of its configuration alone. The native runtime (internal/rt)
+// can run the same bodies concurrently on host worker goroutines against
+// its own Env. And rt's DebugChecks mode can re-execute each committed
+// body against committed state and demand the same effects, which is how
+// an impure body is caught.
 package guest
 
 import (
@@ -199,7 +197,7 @@ type TaskFn func(TaskEnv)
 // ThreadFn is a baseline thread body.
 type ThreadFn func(ThreadEnv)
 
-// abortSignal unwinds a guest goroutine when its task is squashed.
+// abortSignal unwinds a guest coroutine when its task is squashed.
 type abortSignal struct{}
 
 // Coroutine runs one guest body with a strict one-(Result, Op)-pair-per-

@@ -48,10 +48,6 @@ type Suite struct {
 	// Swarm configuration the suite builds (see SetMapper).
 	mapperName string
 
-	// simWorkers, when > 1, shards every Swarm machine the suite builds
-	// across that many simulator goroutines (see SetSimWorkers).
-	simWorkers int
-
 	// backendName, when set, selects the execution engine of every Swarm
 	// run the suite builds (see SetBackend).
 	backendName string
@@ -93,14 +89,6 @@ func (s *Suite) SetProgress(fn ProgressFunc) { s.pool.SetProgress(fn) }
 // any sweep: the deduplicating run caches key on (app, cores) only.
 func (s *Suite) SetMapper(name string) { s.mapperName = name }
 
-// SetSimWorkers sets the tile-parallel shard count of every Swarm machine
-// the suite builds (core.Config.SimWorkers; 0 or 1 keeps the
-// single-threaded simulator). Orthogonal to SetWorkers, which fans whole
-// simulations out across sweep points: SimWorkers parallelizes inside one
-// machine, and results are bit-identical for every value. Call before any
-// sweep: the deduplicating run caches key on (app, cores) only.
-func (s *Suite) SetSimWorkers(n int) { s.simWorkers = n }
-
 // SetBackend selects the execution engine of every Swarm run the suite
 // builds ("" or "sim" keeps the cycle-level simulator; see
 // core.BackendNames). Note that cycle-based metrics are all zero under
@@ -110,14 +98,12 @@ func (s *Suite) SetSimWorkers(n int) { s.simWorkers = n }
 func (s *Suite) SetBackend(name string) { s.backendName = name }
 
 // config returns the suite's Swarm machine configuration for a core count:
-// Table 3 defaults plus the suite-wide mapper, simworkers and backend
-// overrides.
+// Table 3 defaults plus the suite-wide mapper and backend overrides.
 func (s *Suite) config(cores int) core.Config {
 	cfg := core.DefaultConfig(cores)
 	if s.mapperName != "" {
 		cfg.Mapper = s.mapperName
 	}
-	cfg.SimWorkers = s.simWorkers
 	cfg.Backend = s.backendName
 	return cfg
 }
@@ -646,7 +632,6 @@ func (s *Suite) MapperSweep(cores int, mappers []string) ([]MapperPoint, error) 
 			name, b := mappers[i/nb], s.Benchmarks[i%nb]
 			cfg := core.DefaultConfig(cores)
 			cfg.Mapper = name
-			cfg.SimWorkers = s.simWorkers
 			cfg.Backend = s.backendName
 			st, err := b.RunSwarm(cfg)
 			if err != nil {

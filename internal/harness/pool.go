@@ -154,6 +154,10 @@ func (p *Pool) report(done, total int, label string, start time.Time) {
 // tolerable in a one-shot sweep that aborts anyway, fatal in a
 // long-running service where one transient failure would be replayed to
 // every future client of that configuration.
+//
+// A panicking computation is treated like a failed one: its entry is
+// evicted, callers that joined it get an error naming the panic, and the
+// panic itself continues into the caller that ran fn.
 type Memo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*memoEntry[V]
@@ -182,18 +186,30 @@ func (c *Memo[K, V]) Do(key K, fn func() (V, error)) (val V, hit bool, err error
 	c.m[key] = e
 	c.mu.Unlock()
 
-	e.val, e.err = fn()
-	if e.err != nil {
-		c.mu.Lock()
-		// Evict before waking waiters so no later Do can observe the
-		// failed entry; guard against the (impossible today) case of the
-		// slot having been replaced.
-		if c.m[key] == e {
-			delete(c.m, key)
+	returned := false
+	defer func() {
+		var p any
+		if !returned {
+			p = recover()
+			e.err = fmt.Errorf("harness: memoized computation panicked: %v", p)
 		}
-		c.mu.Unlock()
-	}
-	close(e.done)
+		if e.err != nil {
+			c.mu.Lock()
+			// Evict before waking waiters so no later Do can observe the
+			// failed entry; guard against the (impossible today) case of
+			// the slot having been replaced.
+			if c.m[key] == e {
+				delete(c.m, key)
+			}
+			c.mu.Unlock()
+		}
+		close(e.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
+	e.val, e.err = fn()
+	returned = true
 	return e.val, false, e.err
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,6 +120,51 @@ func TestMemoSharedErrorThenRecompute(t *testing.T) {
 	v, hit, err := c.Do("k", func() (int, error) { return 9, nil })
 	if err != nil || v != 9 || hit {
 		t.Fatalf("post-error Do: got (%d, hit=%v, %v), want a fresh (9, false, nil)", v, hit, err)
+	}
+}
+
+// TestMemoPanicReleasesJoiners: a panicking fn must not wedge the key.
+// The joiner in flight gets an error naming the panic instead of blocking
+// forever, the panic still reaches the caller that ran fn, and the next
+// Do recomputes.
+func TestMemoPanicReleasesJoiners(t *testing.T) {
+	var c Memo[string, int]
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do("k", func() (int, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do("k", func() (int, error) {
+			return 0, errors.New("joiner ran fn instead of joining the in-flight computation")
+		})
+		joined <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the joiner block on the entry
+	close(release)
+
+	select {
+	case err := <-joined:
+		if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Fatalf("joiner: err = %v, want an error naming the panic", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("joiner still blocked 5s after fn panicked")
+	}
+	if p := <-recovered; p != "boom" {
+		t.Fatalf("computing caller recovered %v, want the original panic %q", p, "boom")
+	}
+	v, hit, err := c.Do("k", func() (int, error) { return 5, nil })
+	if err != nil || v != 5 || hit {
+		t.Fatalf("post-panic Do: got (%d, hit=%v, %v), want a fresh (5, false, nil)", v, hit, err)
 	}
 }
 

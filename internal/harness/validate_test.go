@@ -129,14 +129,3 @@ func TestValidateCores(t *testing.T) {
 		}
 	}
 }
-
-func TestValidateSimWorkers(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 8} {
-		if err := ValidateSimWorkers(n); err != nil {
-			t.Errorf("ValidateSimWorkers(%d): %v", n, err)
-		}
-	}
-	if err := ValidateSimWorkers(-1); err == nil {
-		t.Error("ValidateSimWorkers(-1): want error")
-	}
-}

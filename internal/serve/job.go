@@ -39,9 +39,6 @@ type JobSpec struct {
 	// Results from different backends never dedupe onto each other — the
 	// backend is part of the cache key like every other field.
 	Backend string `json:"backend,omitempty"`
-	// SimWorkers shards the simulated machine across host goroutines;
-	// results are bit-identical for every value (default single-threaded).
-	SimWorkers int `json:"simworkers,omitempty"`
 	// Seed is the enqueue-placement seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Phases requests per-phase statistics; valid for phased apps only.
@@ -65,9 +62,6 @@ func (j JobSpec) withDefaults() JobSpec {
 	}
 	if j.Seed == 0 {
 		j.Seed = 1
-	}
-	if j.SimWorkers == 0 {
-		j.SimWorkers = 1
 	}
 	return j
 }
@@ -93,9 +87,6 @@ func (j JobSpec) Validate() error {
 		return err
 	}
 	if err := harness.ValidateBackend(j.Backend); err != nil {
-		return err
-	}
-	if err := harness.ValidateSimWorkers(j.SimWorkers); err != nil {
 		return err
 	}
 	if j.Phases && !meta.Phased {
@@ -126,7 +117,6 @@ func (j JobSpec) machineConfig() core.Config {
 	cfg.Mapper = j.Mapper
 	cfg.Backend = j.Backend
 	cfg.Seed = j.Seed
-	cfg.SimWorkers = j.SimWorkers
 	return cfg
 }
 

@@ -1,8 +1,8 @@
 // Package serve implements swarmd, the simulation-as-a-service daemon:
 // a long-running HTTP/JSON front end over the deterministic simulator.
-// Clients POST simulation jobs (app, scale, cores, mapper, backend,
-// simworkers, seed, phases); the daemon runs them on a bounded harness
-// worker pool and serves results as JSON or CSV. Because every
+// Clients POST simulation jobs (app, scale, cores, mapper, backend, seed,
+// phases); the daemon runs them on a bounded harness worker pool and
+// serves results as JSON or CSV. Because every
 // simulation is a pure function of its specification, identical
 // concurrent submissions are deduplicated through a singleflight result
 // cache — the error-evicting harness.Memo, so one transient failure

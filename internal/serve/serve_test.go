@@ -288,7 +288,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad scale", `{"app": "bfs", "scale": "galactic"}`, "tiny"},
 		{"bad cores", `{"app": "bfs", "cores": 7}`, "multiple of 4"},
 		{"bad mapper", `{"app": "bfs", "mapper": "psychic"}`, "random"},
-		{"negative workers", `{"app": "bfs", "simworkers": -2}`, "simworkers"},
+		{"removed simworkers field", `{"app": "bfs", "simworkers": 2}`, `unknown field \"simworkers\"`},
 		{"phases on single-phase app", `{"app": "bfs", "phases": true}`, "incsssp"},
 	}
 	for _, tc := range cases {

@@ -59,11 +59,10 @@ type FnID = guest.FnID
 type Task = guest.TaskDesc
 
 // Config describes the simulated machine (Table 3 of the paper).
-// Config.SimWorkers > 1 shards the simulation across host goroutines
-// with bit-identical results (see DESIGN.md, "Tile-parallel simulation").
 // Config.Backend selects the execution engine: the cycle-level simulator
-// (the default) or the native speculative runtime (see BackendNames and
-// DESIGN.md, "Execution backends").
+// (the default), which runs each machine on one goroutine (see DESIGN.md,
+// "Why the simulator runs on one goroutine"), or the native speculative
+// runtime (see BackendNames and DESIGN.md, "Execution backends").
 type Config = core.Config
 
 // BackendNames lists the valid Config.Backend values: "sim" (the
