@@ -31,8 +31,9 @@ type readRec struct {
 // the committed store (recorded in the read set), writes and child
 // enqueues stay buffered until commit. The DebugChecks commit-time
 // re-execution uses a second, fresh taskEnv and compares the buffered
-// write/child sets for divergence. A taskEnv lives on one worker
-// goroutine; nothing here locks beyond the store's shard read-locks.
+// write/child sets for divergence. An attempt's taskEnv lives on one
+// worker goroutine; nothing here locks beyond the store's shard
+// read-locks. Retired envs are reused by later attempts (reset).
 type taskEnv struct {
 	r    *Runtime
 	desc guest.TaskDesc
@@ -58,6 +59,15 @@ func newTaskEnv(r *Runtime, desc guest.TaskDesc) *taskEnv {
 		reads:  make(map[uint64]readRec),
 		writes: make(map[uint64]uint64),
 	}
+}
+
+// reset readies a retired env for a new attempt of desc, keeping the
+// buffers' storage (sched.retireLocked bounds how much of it there is).
+func (e *taskEnv) reset(desc guest.TaskDesc) {
+	clear(e.reads)
+	clear(e.writes)
+	*e = taskEnv{r: e.r, desc: desc, reads: e.reads, writes: e.writes,
+		order: e.order[:0], children: e.children[:0], frees: e.frees[:0]}
 }
 
 func (e *taskEnv) step(n uint64) {
@@ -169,8 +179,8 @@ func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
 }
 
 // EnqueueSub implements guest.TaskEnv. Fork indices restart at zero on
-// every attempt (each attempt runs on a fresh taskEnv), so a retried
-// task buffers an identical child set — which the DebugChecks
+// every attempt (each attempt starts from a fresh or reset taskEnv), so
+// a retried task buffers an identical child set — which the DebugChecks
 // re-execution comparison requires.
 func (e *taskEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
 	e.step(1)

@@ -28,7 +28,9 @@ package rt
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"maps"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,8 +69,10 @@ type Runtime struct {
 }
 
 // New builds a native runtime for cfg. cfg.Backend selects the variant
-// ("rt" or "rt-conservative"); cfg.Cores() bounds worker parallelism;
-// cfg.DebugChecks enables the commit-time purity re-execution check.
+// ("rt" or "rt-conservative"); each phase runs min(cfg.Cores(),
+// GOMAXPROCS) workers, since more goroutines than host CPUs would only
+// queue on the scheduler lock; cfg.DebugChecks enables the commit-time
+// purity re-execution check.
 func New(cfg core.Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -84,7 +88,7 @@ func New(cfg core.Config) (*Runtime, error) {
 		heap: mem.NewAllocator(),
 	}
 	r.store = newStore(r.base)
-	r.sched = newSched(r, cfg.Tiles, name == "rt-conservative")
+	r.sched = newSched(r, name == "rt-conservative")
 	return r, nil
 }
 
@@ -129,7 +133,7 @@ func (r *Runtime) EnqueueRootDesc(d guest.TaskDesc) {
 func (r *Runtime) QueuedTasks() int {
 	r.sched.mu.Lock()
 	defer r.sched.mu.Unlock()
-	return r.sched.readyN
+	return len(r.sched.ready)
 }
 
 // Start marks the runtime live. It exists for surface parity with the
@@ -150,8 +154,8 @@ func (r *Runtime) Quiesced() bool { return r.started && !r.running }
 func (r *Runtime) Phase() int { return r.phase }
 
 // RunPhase drains all queued tasks (and their transitive children) to
-// quiescence on cfg.Cores() worker goroutines, then folds committed
-// state into guest memory and reports the phase.
+// quiescence on min(cfg.Cores(), GOMAXPROCS) worker goroutines, then
+// folds committed state into guest memory and reports the phase.
 func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	if !r.started {
 		return core.PhaseStats{}, errors.New("rt: RunPhase before Start")
@@ -173,7 +177,8 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Cores(); w++ {
+	workers := min(r.cfg.Cores(), runtime.GOMAXPROCS(0))
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -211,8 +216,10 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 }
 
 // Snapshot returns cumulative run statistics in the shared Stats shape.
-// Simulator-only fields (Cycles, cache, NoC, occupancies) stay zero; the
-// native metrics are WallNS and Retries.
+// Stats.Cores is the logical core count cfg.Cores(), not the number of
+// worker goroutines, so rows compare across hosts and with the
+// simulator's. Simulator-only fields (Cycles, cache, NoC, occupancies)
+// stay zero; the native metrics are WallNS and Retries.
 func (r *Runtime) Snapshot() core.Stats {
 	s := r.sched
 	s.mu.Lock()
@@ -235,13 +242,13 @@ func (r *Runtime) Snapshot() core.Stats {
 // outcome: normal completion joins the commit queue, a panic goes
 // through suspected-misspeculation triage.
 func (r *Runtime) execute(t *task) {
-	env := newTaskEnv(r, t.desc)
-	panicked, pval := r.runBody(t, env)
+	t.env.reset(t.desc)
+	panicked, pval := r.runBody(t, t.env)
 	if panicked {
-		r.sched.handlePanic(t, env, pval)
+		r.sched.handlePanic(t, pval)
 		return
 	}
-	r.sched.finish(t, env)
+	r.sched.finish(t)
 }
 
 // runBody invokes the guest function, capturing any panic.
@@ -273,9 +280,11 @@ func (r *Runtime) recheckLocked(t *task) error {
 	if panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}
-	if !reflect.DeepEqual(env.writes, t.env.writes) ||
-		!reflect.DeepEqual(env.children, t.env.children) ||
-		!reflect.DeepEqual(env.frees, t.env.frees) {
+	// slices.Equal, unlike reflect.DeepEqual, treats the nil slice of a
+	// fresh env and the emptied slice of a recycled one alike.
+	if !maps.Equal(env.writes, t.env.writes) ||
+		!slices.Equal(env.children, t.env.children) ||
+		!slices.Equal(env.frees, t.env.frees) {
 		return r.taskErr(t, "diverged on re-execution — task bodies must be pure functions of guest memory")
 	}
 	return nil

@@ -2,7 +2,9 @@ package rt
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/core"
@@ -113,9 +115,11 @@ func TestChildTasks(t *testing.T) {
 }
 
 // TestDeterministicFinalMemory requires bit-identical final memory
-// across core counts and repeated runs: the commit order is a pure
-// function of the program, never of worker interleaving.
+// across core counts, worker counts (GOMAXPROCS caps them) and repeated
+// runs: the commit order is a pure function of the program, never of
+// worker interleaving.
 func TestDeterministicFinalMemory(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	build := func() ([]guest.TaskFn, []guest.TaskDesc) {
 		const base = uint64(1 << 12)
 		body := func(e guest.TaskEnv) {
@@ -132,20 +136,132 @@ func TestDeterministicFinalMemory(t *testing.T) {
 		return []guest.TaskFn{body}, roots
 	}
 	var want map[uint64]uint64
-	for _, cores := range []int{1, 4, 16, 16} {
-		fns, roots := build()
-		r, _, err := runProgram(t, testConfig(t, cores, "rt"), fns, []string{"mix"}, roots)
-		if err != nil {
-			t.Fatalf("cores=%d: %v", cores, err)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, cores := range []int{1, 4, 16, 16} {
+			fns, roots := build()
+			r, _, err := runProgram(t, testConfig(t, cores, "rt"), fns, []string{"mix"}, roots)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d cores=%d: %v", procs, cores, err)
+			}
+			snap := r.Mem().Snapshot()
+			if want == nil {
+				want = snap
+				continue
+			}
+			if !reflect.DeepEqual(snap, want) {
+				t.Fatalf("GOMAXPROCS=%d cores=%d: final memory differs from the 1-worker run", procs, cores)
+			}
 		}
-		snap := r.Mem().Snapshot()
-		if want == nil {
-			want = snap
-			continue
+	}
+}
+
+// TestRecycledAttemptBuffersStartClean drives contended same-timestamp
+// tasks that buffer writes, children and frees through aborts and
+// retries on reused attempt buffers, and checks that every attempt —
+// including the DebugChecks re-execution — starts with empty buffers,
+// that no child or free is committed twice or lost, and that a task
+// whose read set outgrows the recycle bound does not hand its maps on.
+func TestRecycledAttemptBuffersStartClean(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several workers even on one CPU
+	const (
+		counter   = uint64(1 << 12)
+		childMark = uint64(1 << 14)
+		wideBase  = uint64(1 << 16)
+		n         = 200
+	)
+	var dirty atomic.Int64
+	clean := func(e guest.TaskEnv) {
+		env := e.(*taskEnv)
+		if len(env.reads)+len(env.writes)+len(env.order)+len(env.children)+len(env.frees) != 0 ||
+			env.ops != 0 || env.forks != 0 || env.allocd {
+			dirty.Add(1)
 		}
-		if !reflect.DeepEqual(snap, want) {
-			t.Fatalf("cores=%d: final memory differs from 1-core run", cores)
+	}
+	inc := func(e guest.TaskEnv) {
+		clean(e)
+		v := e.Load(counter)
+		runtime.Gosched() // let peers read the same counter value
+		e.Store(counter, v+1)
+		if e.Arg(0)%2 == 0 {
+			e.Fork(1, e.Arg(0))
+		} else {
+			e.Enqueue(1, e.Timestamp()+1, e.Arg(0))
 		}
+		e.Free(e.Arg(1), 64)
+	}
+	child := func(e guest.TaskEnv) {
+		clean(e)
+		slot := childMark + 8*e.Arg(0)
+		e.Store(slot, e.Load(slot)+1)
+	}
+	wide := func(e guest.TaskEnv) {
+		clean(e)
+		sum := uint64(0)
+		for i := uint64(0); i < 2*recycleMax; i++ {
+			sum += e.Load(wideBase + 8*i)
+		}
+		v := e.Load(counter)
+		runtime.Gosched()
+		e.Store(counter, v+1+sum)
+	}
+
+	cfg := testConfig(t, 16, "rt")
+	cfg.DebugChecks = true
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r.SetProgram([]guest.TaskFn{inc, child, wide}, []string{"inc", "child", "wide"})
+	if err := r.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	freed := map[uint64]bool{}
+	var top uint64
+	for i := uint64(0); i < n; i++ {
+		region := r.SetupAlloc(64)
+		freed[region], top = true, region
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1, Args: [3]uint64{i, region}})
+		if i == n/2 {
+			r.EnqueueRootDesc(guest.TaskDesc{Fn: 2, TS: 1})
+		}
+	}
+	if _, err := r.RunPhase(); err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+
+	if d := dirty.Load(); d != 0 {
+		t.Errorf("%d attempts started with buffers left over from an earlier attempt", d)
+	}
+	if got := r.Mem().Load(counter); got != n+1 {
+		t.Errorf("counter = %d, want %d", got, n+1)
+	}
+	for i := uint64(0); i < n; i++ {
+		if got := r.Mem().Load(childMark + 8*i); got != 1 {
+			t.Fatalf("child %d committed %d times, want 1", i, got)
+		}
+	}
+	st := r.Snapshot()
+	if st.Aborts == 0 || st.Aborts != st.Retries {
+		t.Errorf("aborts = %d, retries = %d: want contention to force retries", st.Aborts, st.Retries)
+	}
+	for _, env := range r.sched.envs {
+		if len(env.reads) > recycleMax || len(env.writes) > recycleMax {
+			t.Errorf("recycled env holds %d reads, %d writes; bound is %d", len(env.reads), len(env.writes), recycleMax)
+		}
+	}
+	// Each committed free returns its region exactly once: n fresh
+	// allocations reuse exactly the n freed regions, and the next one
+	// comes from new memory.
+	for i := 0; i < n; i++ {
+		a := r.SetupAlloc(64)
+		if !freed[a] {
+			t.Fatalf("allocation %d got %#x, not a (remaining) freed region", i, a)
+		}
+		delete(freed, a)
+	}
+	if a := r.SetupAlloc(64); a <= top {
+		t.Errorf("allocation after the freed regions got %#x, want fresh memory", a)
 	}
 }
 

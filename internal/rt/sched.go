@@ -2,6 +2,7 @@ package rt
 
 import (
 	"container/heap"
+	"slices"
 	"sync"
 
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -34,8 +35,8 @@ func (a vtime) less(b vtime) bool {
 }
 
 // task is one schedulable unit. vt is fixed at creation and survives
-// aborts; env holds the attempt's read/write/child buffers once the task
-// has executed and is sitting in the commit queue.
+// aborts; env holds the current attempt's read/write/child buffers from
+// dispatch until the attempt commits or aborts.
 type task struct {
 	desc guest.TaskDesc
 	vt   vtime
@@ -58,12 +59,12 @@ func (h *taskHeap) Pop() any {
 	return t
 }
 
-// sched is the software task unit + commit queue: a sharded timestamp-
-// ordered ready queue feeding worker goroutines, a running set, and a
-// commit queue drained strictly in vtime order. One mutex guards it all;
-// tasks execute outside the lock, so the lock only serializes dispatch
-// and commit — the runtime's software stand-in for the simulator's
-// per-tile task units and GVT-gated commit queues.
+// sched is the software task unit + commit queue: one timestamp-ordered
+// ready heap feeding a worker per host CPU, a running set, and a commit
+// queue drained strictly in vtime order. One mutex guards it all; tasks
+// execute outside the lock, so the lock only serializes dispatch and
+// commit — the runtime's software stand-in for the simulator's per-tile
+// task units and GVT-gated commit queues.
 type sched struct {
 	r  *Runtime
 	mu sync.Mutex
@@ -71,16 +72,16 @@ type sched struct {
 	// commit queue head, or the phase drains.
 	cond *sync.Cond
 
-	// ready holds runnable tasks, sharded by sequence number the way the
-	// simulator spreads tasks over tiles; a pop scans the shard heads for
-	// the global minimum vtime.
-	ready  []taskHeap
-	readyN int
-	// running is the set of dispatched, not-yet-finished attempts.
-	running map[*task]struct{}
+	// ready holds runnable tasks; ready[0] is the minimum ready vtime.
+	ready taskHeap
+	// running holds the dispatched, not-yet-finished attempts: at most
+	// one per worker, so a scan is cheaper than any ordered structure.
+	running []*task
 	// commitQ holds executed tasks awaiting their turn to validate and
 	// commit in vtime order.
 	commitQ taskHeap
+	// envs holds retired attempt buffers for reuse (see retireLocked).
+	envs []*taskEnv
 
 	// conservative restricts dispatch to tasks at the minimum uncommitted
 	// timestamp (level-synchronous waves): no task runs ahead of virtual
@@ -95,22 +96,38 @@ type sched struct {
 	enqueues, dequeues       uint64
 }
 
-func newSched(r *Runtime, shards int, conservative bool) *sched {
-	s := &sched{
-		r:            r,
-		ready:        make([]taskHeap, shards),
-		running:      make(map[*task]struct{}),
-		conservative: conservative,
-	}
+// recycleMax bounds the buffers a retired attempt hands on. Reuse clears
+// the maps, and clear() costs a map's capacity, not its length: one
+// attempt that read thousands of words would otherwise tax every later
+// attempt that inherits its read set. The suite's tasks touch tens of
+// words: on perfbench's rt workload ~0.05% of attempts exceed the bound.
+const recycleMax = 64
+
+func newSched(r *Runtime, conservative bool) *sched {
+	s := &sched{r: r, conservative: conservative}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// pushReadyLocked makes a task (new or retried) runnable.
-func (s *sched) pushReadyLocked(t *task) {
+// retireLocked takes a finished attempt's buffers off t and keeps them
+// for the next dispatch unless they outgrew recycleMax. The buffers are
+// cleared by the worker that reuses them, outside the lock.
+func (s *sched) retireLocked(t *task) {
+	e := t.env
 	t.env = nil
-	heap.Push(&s.ready[t.vt.seq%uint64(len(s.ready))], t)
-	s.readyN++
+	if len(e.reads) <= recycleMax && len(e.writes) <= recycleMax &&
+		cap(e.children) <= recycleMax && cap(e.frees) <= recycleMax {
+		s.envs = append(s.envs, e)
+	}
+}
+
+// abortLocked retires a failed attempt and requeues its task.
+func (s *sched) abortLocked(t *task) {
+	s.aborts++
+	s.retries++
+	s.retireLocked(t)
+	heap.Push(&s.ready, t)
+	s.cond.Broadcast()
 }
 
 // enqueueLocked admits a new descriptor, assigning the next sequence
@@ -120,7 +137,7 @@ func (s *sched) pushReadyLocked(t *task) {
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
 	s.enqueues++
-	s.pushReadyLocked(&task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
+	heap.Push(&s.ready, &task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
 }
 
 // minActiveLocked returns the minimum vtime over ready and running tasks
@@ -128,15 +145,11 @@ func (s *sched) enqueueLocked(d guest.TaskDesc) {
 // task can still appear before it.
 func (s *sched) minActiveLocked() (vtime, bool) {
 	var best vtime
-	ok := false
-	for i := range s.ready {
-		if len(s.ready[i]) > 0 {
-			if v := s.ready[i][0].vt; !ok || v.less(best) {
-				best, ok = v, true
-			}
-		}
+	ok := len(s.ready) > 0
+	if ok {
+		best = s.ready[0].vt
 	}
-	for t := range s.running {
+	for _, t := range s.running {
 		if !ok || t.vt.less(best) {
 			best, ok = t.vt, true
 		}
@@ -166,31 +179,21 @@ func (s *sched) minUncommittedTSLocked() (uint64, bool) {
 // regardless of what is still uncommitted; conservative mode holds tasks
 // back until their timestamp is the minimum uncommitted timestamp.
 func (s *sched) popEligibleLocked() *task {
-	best := -1
-	for i := range s.ready {
-		if len(s.ready[i]) == 0 {
-			continue
-		}
-		if best < 0 || s.ready[i][0].vt.less(s.ready[best][0].vt) {
-			best = i
-		}
-	}
-	if best < 0 {
+	if len(s.ready) == 0 {
 		return nil
 	}
 	if s.conservative {
-		if frontier, ok := s.minUncommittedTSLocked(); ok && s.ready[best][0].vt.ts > frontier {
+		if frontier, ok := s.minUncommittedTSLocked(); ok && s.ready[0].vt.ts > frontier {
 			return nil
 		}
 	}
-	t := heap.Pop(&s.ready[best]).(*task)
-	s.readyN--
-	return t
+	return heap.Pop(&s.ready).(*task)
 }
 
-// next blocks until it can hand the calling worker a task, or returns
-// nil when the phase is drained (or poisoned by err). It also drives the
-// commit queue: every wakeup drains whatever has become committable.
+// next blocks until it can hand the calling worker a task, with a
+// (possibly recycled) attempt buffer in t.env, or returns nil when the
+// phase is drained (or poisoned by err). It also drives the commit
+// queue: every wakeup drains whatever has become committable.
 func (s *sched) next() *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,11 +206,18 @@ func (s *sched) next() *task {
 			return nil
 		}
 		if t := s.popEligibleLocked(); t != nil {
-			s.running[t] = struct{}{}
+			s.running = append(s.running, t)
 			s.dequeues++
+			if n := len(s.envs); n > 0 {
+				t.env = s.envs[n-1]
+				s.envs[n-1] = nil
+				s.envs = s.envs[:n-1]
+			} else {
+				t.env = newTaskEnv(s.r, t.desc)
+			}
 			return t
 		}
-		if s.readyN == 0 && len(s.running) == 0 && s.commitQ.Len() == 0 {
+		if len(s.ready) == 0 && len(s.running) == 0 && s.commitQ.Len() == 0 {
 			s.done = true
 			s.cond.Broadcast()
 			return nil
@@ -216,12 +226,17 @@ func (s *sched) next() *task {
 	}
 }
 
+// stopLocked removes t from the running set.
+func (s *sched) stopLocked(t *task) {
+	i := slices.Index(s.running, t)
+	s.running = slices.Delete(s.running, i, i+1)
+}
+
 // finish moves an executed attempt to the commit queue and drains any
 // newly committable prefix.
-func (s *sched) finish(t *task, env *taskEnv) {
+func (s *sched) finish(t *task) {
 	s.mu.Lock()
-	delete(s.running, t)
-	t.env = env
+	s.stopLocked(t)
 	heap.Push(&s.commitQ, t)
 	s.tryCommitsLocked()
 	s.cond.Broadcast()
@@ -236,14 +251,11 @@ func (s *sched) finish(t *task, env *taskEnv) {
 // If the reads were consistent the panic is real: an op-cap overrun
 // becomes a runtime error (infinite loop in guest code), anything else
 // re-panics exactly as it would under the simulator.
-func (s *sched) handlePanic(t *task, env *taskEnv, pval any) {
+func (s *sched) handlePanic(t *task, pval any) {
 	s.mu.Lock()
-	delete(s.running, t)
-	if !s.validLocked(env) {
-		s.aborts++
-		s.retries++
-		s.pushReadyLocked(t)
-		s.cond.Broadcast()
+	s.stopLocked(t)
+	if !s.validLocked(t.env) {
+		s.abortLocked(t)
 		s.mu.Unlock()
 		return
 	}
@@ -295,10 +307,7 @@ func (s *sched) tryCommitsLocked() {
 		}
 		heap.Pop(&s.commitQ)
 		if !s.validLocked(head.env) {
-			s.aborts++
-			s.retries++
-			s.pushReadyLocked(head)
-			s.cond.Broadcast()
+			s.abortLocked(head)
 			continue
 		}
 		if s.r.cfg.DebugChecks {
@@ -322,6 +331,7 @@ func (s *sched) tryCommitsLocked() {
 			s.r.heap.ReleaseQuarantine(0)
 			s.r.heapMu.Unlock()
 		}
+		s.retireLocked(head)
 		s.commits++
 		s.cond.Broadcast()
 	}
