@@ -34,7 +34,7 @@ func main() {
 	cores := flag.Int("cores", 64, "core count (machine scales per Table 3)")
 	impl := flag.String("impl", "swarm", "implementation: swarm, serial, parallel")
 	scaleF := flag.String("scale", "small", "input scale: tiny, small, medium, large")
-	cq := flag.Int("commitq", 0, "override commit queue entries per core")
+	cq := flag.Int("commitq", 0, "override commit queue entries per core (rt: per worker)")
 	gvt := flag.Uint64("gvt", 0, "override GVT update period (cycles)")
 	trace := flag.Uint64("trace", 0, "emit a per-tile trace sample every N cycles")
 	seed := flag.Int64("seed", 1, "enqueue-placement seed (random mapper only)")
@@ -229,6 +229,7 @@ func printNativeStats(w io.Writer, app string, st core.Stats) {
 	fmt.Fprintf(w, "  commits           %12d\n", st.Commits)
 	fmt.Fprintf(w, "  aborts            %12d (retries %d)\n", st.Aborts, st.Retries)
 	fmt.Fprintf(w, "  enqueues          %12d (dequeues %d)\n", st.Enqueues, st.Dequeues)
+	fmt.Fprintf(w, "  commit queue peak %12d (dispatch stalls %d)\n", st.PeakCommitQ, st.CommitQStalls)
 	if st.WallNS > 0 {
 		fmt.Fprintf(w, "  throughput        %12.0f committed tasks/s\n",
 			float64(st.Commits)/(float64(st.WallNS)/1e9))

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,6 +63,21 @@ func TestEveryBackendRuns(t *testing.T) {
 		}
 		if st.Backend != wantName {
 			t.Errorf("backend %q: Stats.Backend = %q", name, st.Backend)
+		}
+		// The native commit-queue counters are rt-only: zero and absent
+		// from the JSON encoding under the simulator, and every native
+		// commit passes through the queue.
+		if wantName == "sim" {
+			js, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CommitQStalls != 0 || st.PeakCommitQ != 0 || strings.Contains(string(js), `"CommitQStalls"`) || strings.Contains(string(js), `"PeakCommitQ"`) {
+				t.Errorf("sim: CommitQStalls = %d, PeakCommitQ = %d, JSON %s; want zero and absent",
+					st.CommitQStalls, st.PeakCommitQ, js)
+			}
+		} else if st.PeakCommitQ == 0 {
+			t.Errorf("backend %q: PeakCommitQ = 0 after %d commits", name, st.Commits)
 		}
 		snap := b.Mem().Snapshot()
 		if want == nil {

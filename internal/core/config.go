@@ -23,10 +23,13 @@ type Config struct {
 
 	// TaskQPerCore and CommitQPerCore are hardware queue entries per core
 	// (Table 3: 64 and 16; so a 16-tile machine has 4096 and 1024 total).
+	// The native runtimes bound their software commit queue at
+	// CommitQPerCore entries per worker goroutine.
 	TaskQPerCore   int
 	CommitQPerCore int
 
-	// UnboundedQueues idealizes away queue capacity (Table 5).
+	// UnboundedQueues idealizes away queue capacity (Table 5), in the
+	// simulator and in the native runtimes' commit queue.
 	UnboundedQueues bool
 
 	// Swarm instruction costs (Table 3: 5 cycles each).

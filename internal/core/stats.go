@@ -49,6 +49,14 @@ type Stats struct {
 	// tracks the equivalent via Aborts and leaves this zero).
 	Retries uint64
 
+	// CommitQStalls counts native-runtime dispatches refused because the
+	// software commit queue was full, and PeakCommitQ is the deepest that
+	// queue has been. Both stay zero under the simulator, and omitempty
+	// keeps them out of its JSON encoding, so simulator stats serialize
+	// as before.
+	CommitQStalls uint64 `json:",omitempty"`
+	PeakCommitQ   uint64 `json:",omitempty"`
+
 	// Events is the number of discrete events the simulation engine fired:
 	// the host-side work metric (events/sec is the simulator's throughput).
 	Events uint64

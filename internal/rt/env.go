@@ -24,7 +24,7 @@ type opCapPanic struct{}
 // (repeatable reads); cross-address inconsistency is caught by commit
 // validation, the panic path, or the op cap.
 type readRec struct {
-	val, ver uint64
+	addr, val, ver uint64
 }
 
 // taskEnv implements guest.TaskEnv for one task attempt: reads come from
@@ -38,7 +38,8 @@ type taskEnv struct {
 	r    *Runtime
 	desc guest.TaskDesc
 
-	reads    map[uint64]readRec
+	reads    []readRec        // read set in first-read order; validation walks it
+	readIdx  map[uint64]int32 // address → its entry in reads
 	writes   map[uint64]uint64
 	order    []uint64 // write addresses in first-write order (determinism)
 	children []guest.TaskDesc
@@ -54,19 +55,19 @@ type span struct {
 
 func newTaskEnv(r *Runtime, desc guest.TaskDesc) *taskEnv {
 	return &taskEnv{
-		r:      r,
-		desc:   desc,
-		reads:  make(map[uint64]readRec),
-		writes: make(map[uint64]uint64),
+		r:       r,
+		desc:    desc,
+		readIdx: make(map[uint64]int32),
+		writes:  make(map[uint64]uint64),
 	}
 }
 
 // reset readies a retired env for a new attempt of desc, keeping the
 // buffers' storage (sched.retireLocked bounds how much of it there is).
 func (e *taskEnv) reset(desc guest.TaskDesc) {
-	clear(e.reads)
+	clear(e.readIdx)
 	clear(e.writes)
-	*e = taskEnv{r: e.r, desc: desc, reads: e.reads, writes: e.writes,
+	*e = taskEnv{r: e.r, desc: desc, reads: e.reads[:0], readIdx: e.readIdx, writes: e.writes,
 		order: e.order[:0], children: e.children[:0], frees: e.frees[:0]}
 }
 
@@ -84,11 +85,12 @@ func (e *taskEnv) Load(addr uint64) uint64 {
 	if v, ok := e.writes[addr]; ok {
 		return v
 	}
-	if r, ok := e.reads[addr]; ok {
-		return r.val
+	if i, ok := e.readIdx[addr]; ok {
+		return e.reads[i].val
 	}
 	val, ver := e.r.store.read(addr)
-	e.reads[addr] = readRec{val: val, ver: ver}
+	e.readIdx[addr] = int32(len(e.reads))
+	e.reads = append(e.reads, readRec{addr: addr, val: val, ver: ver})
 	return val
 }
 

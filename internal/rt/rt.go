@@ -155,7 +155,9 @@ func (r *Runtime) Phase() int { return r.phase }
 
 // RunPhase drains all queued tasks (and their transitive children) to
 // quiescence on min(cfg.Cores(), GOMAXPROCS) worker goroutines, then
-// folds committed state into guest memory and reports the phase.
+// folds committed state into guest memory and reports the phase. The
+// commit queue holds cfg.CommitQPerCore entries per worker unless
+// cfg.UnboundedQueues is set.
 func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	if !r.started {
 		return core.PhaseStats{}, errors.New("rt: RunPhase before Start")
@@ -169,15 +171,19 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	r.running = true
 	r.phase++
 
+	workers := min(r.cfg.Cores(), runtime.GOMAXPROCS(0))
 	s := r.sched
 	s.mu.Lock()
 	s.done = false
+	s.commitCap = 0
+	if !r.cfg.UnboundedQueues {
+		s.commitCap = r.cfg.CommitQPerCore * workers
+	}
 	start := [4]uint64{s.commits, s.aborts, s.enqueues, s.dequeues}
 	s.mu.Unlock()
 
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	workers := min(r.cfg.Cores(), runtime.GOMAXPROCS(0))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -219,22 +225,25 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 // Stats.Cores is the logical core count cfg.Cores(), not the number of
 // worker goroutines, so rows compare across hosts and with the
 // simulator's. Simulator-only fields (Cycles, cache, NoC, occupancies)
-// stay zero; the native metrics are WallNS and Retries.
+// stay zero; the native metrics are WallNS, Retries, CommitQStalls and
+// PeakCommitQ.
 func (r *Runtime) Snapshot() core.Stats {
 	s := r.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return core.Stats{
-		Backend:  r.name,
-		Cores:    r.cfg.Cores(),
-		Tiles:    r.cfg.Tiles,
-		WallNS:   r.wallNS,
-		Retries:  s.retries,
-		Commits:  s.commits,
-		Aborts:   s.aborts,
-		Enqueues: s.enqueues,
-		Dequeues: s.dequeues,
-		Mapper:   r.cfg.Mapper,
+		Backend:       r.name,
+		Cores:         r.cfg.Cores(),
+		Tiles:         r.cfg.Tiles,
+		WallNS:        r.wallNS,
+		Retries:       s.retries,
+		CommitQStalls: s.stalls,
+		PeakCommitQ:   s.peakCommitQ,
+		Commits:       s.commits,
+		Aborts:        s.aborts,
+		Enqueues:      s.enqueues,
+		Dequeues:      s.dequeues,
+		Mapper:        r.cfg.Mapper,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -115,9 +116,10 @@ func TestChildTasks(t *testing.T) {
 }
 
 // TestDeterministicFinalMemory requires bit-identical final memory
-// across core counts, worker counts (GOMAXPROCS caps them) and repeated
-// runs: the commit order is a pure function of the program, never of
-// worker interleaving.
+// across core counts, worker counts (GOMAXPROCS caps them), commit
+// queue bounds and repeated runs: the commit order is a pure function of
+// the program, never of worker interleaving or of how far workers may
+// run ahead of the commit queue head.
 func TestDeterministicFinalMemory(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	build := func() ([]guest.TaskFn, []guest.TaskDesc) {
@@ -135,23 +137,127 @@ func TestDeterministicFinalMemory(t *testing.T) {
 		}
 		return []guest.TaskFn{body}, roots
 	}
+	queues := []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"commitq=1", func(c *core.Config) { c.CommitQPerCore = 1 }},
+		{"commitq=default", func(*core.Config) {}},
+		{"unbounded", func(c *core.Config) { c.UnboundedQueues = true }},
+	}
 	var want map[uint64]uint64
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, cores := range []int{1, 4, 16, 16} {
-			fns, roots := build()
-			r, _, err := runProgram(t, testConfig(t, cores, "rt"), fns, []string{"mix"}, roots)
+		for _, q := range queues {
+			for _, cores := range []int{1, 4, 16, 16} {
+				fns, roots := build()
+				cfg := testConfig(t, cores, "rt")
+				q.set(&cfg)
+				r, _, err := runProgram(t, cfg, fns, []string{"mix"}, roots)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d %s cores=%d: %v", procs, q.name, cores, err)
+				}
+				snap := r.Mem().Snapshot()
+				if want == nil {
+					want = snap
+					continue
+				}
+				if !reflect.DeepEqual(snap, want) {
+					t.Fatalf("GOMAXPROCS=%d %s cores=%d: final memory differs from the 1-worker run", procs, q.name, cores)
+				}
+			}
+		}
+	}
+}
+
+// TestCommitQueueDispatchRule pins the bounded commit queue's dispatch
+// rule on hand-built tasks: with the queue at capacity a ready task that
+// follows the queue head stalls (and is counted), one that precedes the
+// head is dispatched (§4.7: the earliest task may always run), and a
+// phase whose full queue waits on the ready minimum still completes.
+func TestCommitQueueDispatchRule(t *testing.T) {
+	mk := func(ts, seq uint64) *task {
+		return &task{desc: guest.TaskDesc{TS: ts}, vt: vtime{ts: ts, seq: seq}}
+	}
+	r, err := New(testConfig(t, 4, "rt"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s := r.sched
+	s.mu.Lock()
+	s.commitCap = 2
+	s.commitQ.push(mk(5, 1))
+	s.commitQ.push(mk(6, 2))
+	late := mk(5, 3) // same timestamp as the head, later sequence number
+	s.ready.push(late)
+	if got := s.popEligibleLocked(); got != nil {
+		t.Errorf("full queue: dispatched ts=%d seq=%d, which follows the queue head", got.vt.ts, got.vt.seq)
+	}
+	if s.stalls != 1 {
+		t.Errorf("stalls = %d after one refused dispatch, want 1", s.stalls)
+	}
+	early := mk(4, 4)
+	s.ready.push(early)
+	if got := s.popEligibleLocked(); got != early {
+		t.Errorf("full queue: dispatched %v, want the ready task that precedes the queue head", got)
+	}
+	if s.stalls != 1 {
+		t.Errorf("stalls = %d after an exempt dispatch, want 1", s.stalls)
+	}
+	s.commitCap = 3
+	if got := s.popEligibleLocked(); got != late {
+		t.Errorf("queue below capacity: dispatched %v, want the ready minimum", got)
+	}
+	s.mu.Unlock()
+	if st := r.Snapshot(); st.CommitQStalls != 1 || st.PeakCommitQ != 0 {
+		t.Errorf("Snapshot: CommitQStalls = %d, PeakCommitQ = %d; want 1, 0", st.CommitQStalls, st.PeakCommitQ)
+	}
+
+	// A whole phase on one worker with a one-entry queue. B (ts 2) has
+	// already run against the initial memory and fills the queue; A
+	// (ts 1) is ready and precedes it. Only the exemption lets A run, and
+	// B's stale read must then abort and retry.
+	const acc = uint64(1 << 12)
+	body := func(e guest.TaskEnv) { e.Store(acc, e.Load(acc)*3+e.Timestamp()) }
+	for _, backend := range []string{"rt", "rt-conservative"} {
+		cfg := testConfig(t, 1, backend)
+		cfg.CommitQPerCore = 1
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		r.SetProgram([]guest.TaskFn{body}, []string{"acc"})
+		if err := r.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		s := r.sched
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 2})
+		b := s.ready.pop()
+		b.env = newTaskEnv(r, b.desc)
+		if panicked, v := r.runBody(b, b.env); panicked {
+			t.Fatalf("%s: B panicked: %v", backend, v)
+		}
+		s.commitQ.push(b)
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1})
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.RunPhase()
+			done <- err
+		}()
+		select {
+		case err := <-done:
 			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d cores=%d: %v", procs, cores, err)
+				t.Fatalf("%s: RunPhase: %v", backend, err)
 			}
-			snap := r.Mem().Snapshot()
-			if want == nil {
-				want = snap
-				continue
-			}
-			if !reflect.DeepEqual(snap, want) {
-				t.Fatalf("GOMAXPROCS=%d cores=%d: final memory differs from the 1-worker run", procs, cores)
-			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: phase deadlocked: a full commit queue waits on a ready minimum nothing dispatches", backend)
+		}
+		if got, want := r.Mem().Load(acc), uint64((0*3+1)*3+2); got != want {
+			t.Errorf("%s: acc = %d, want %d", backend, got, want)
+		}
+		if st := r.Snapshot(); st.Commits != 2 || st.Aborts != 1 {
+			t.Errorf("%s: commits = %d, aborts = %d; want 2 and 1 (B's stale read retried)", backend, st.Commits, st.Aborts)
 		}
 	}
 }
@@ -173,7 +279,7 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 	var dirty atomic.Int64
 	clean := func(e guest.TaskEnv) {
 		env := e.(*taskEnv)
-		if len(env.reads)+len(env.writes)+len(env.order)+len(env.children)+len(env.frees) != 0 ||
+		if len(env.reads)+len(env.readIdx)+len(env.writes)+len(env.order)+len(env.children)+len(env.frees) != 0 ||
 			env.ops != 0 || env.forks != 0 || env.allocd {
 			dirty.Add(1)
 		}
@@ -246,8 +352,9 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 		t.Errorf("aborts = %d, retries = %d: want contention to force retries", st.Aborts, st.Retries)
 	}
 	for _, env := range r.sched.envs {
-		if len(env.reads) > recycleMax || len(env.writes) > recycleMax {
-			t.Errorf("recycled env holds %d reads, %d writes; bound is %d", len(env.reads), len(env.writes), recycleMax)
+		if cap(env.reads) > recycleMax || len(env.readIdx) > recycleMax || len(env.writes) > recycleMax {
+			t.Errorf("recycled env holds room for %d reads (%d indexed), %d writes; bound is %d",
+				cap(env.reads), len(env.readIdx), len(env.writes), recycleMax)
 		}
 	}
 	// Each committed free returns its region exactly once: n fresh

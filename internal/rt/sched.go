@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"container/heap"
 	"slices"
 	"sync"
 
@@ -36,35 +35,84 @@ func (a vtime) less(b vtime) bool {
 
 // task is one schedulable unit. vt is fixed at creation and survives
 // aborts; env holds the current attempt's read/write/child buffers from
-// dispatch until the attempt commits or aborts.
+// dispatch until the attempt commits or aborts, and at is the commit
+// count when that attempt was dispatched (see validLocked).
 type task struct {
 	desc guest.TaskDesc
 	vt   vtime
 	env  *taskEnv
+	at   uint64
 }
 
-// taskHeap is a min-heap of tasks by vtime.
-type taskHeap []*task
+// vtHeap is a binary min-heap of tasks by vtime. Each entry carries its
+// task's key inline, so sifting compares keys without interface calls or
+// task-pointer dereferences. Keys are unique (seq breaks every tie), so
+// the pop order is the vtime order whatever the heap's shape.
+type vtHeap []heapEnt
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return h[i].vt.less(h[j].vt) }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*task)) }
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+type heapEnt struct {
+	vt vtime
+	t  *task
+}
+
+func (h *vtHeap) push(t *task) {
+	*h = append(*h, heapEnt{vt: t.vt, t: t})
+	q := *h
+	i := len(q) - 1
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.vt.less(q[p].vt) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+}
+
+// pop removes and returns the minimum task; the heap must be non-empty.
+func (h *vtHeap) pop() *task {
+	q := *h
+	top := q[0].t
+	n := len(q) - 1
+	e := q[n]
+	q[n] = heapEnt{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].vt.less(q[c].vt) {
+			c = r
+		}
+		if !q[c].vt.less(e.vt) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
+	return top
 }
 
 // sched is the software task unit + commit queue: one timestamp-ordered
-// ready heap feeding a worker per host CPU, a running set, and a commit
-// queue drained strictly in vtime order. One mutex guards it all; tasks
-// execute outside the lock, so the lock only serializes dispatch and
-// commit — the runtime's software stand-in for the simulator's per-tile
-// task units and GVT-gated commit queues.
+// ready heap feeding a worker per host CPU, a running set, and a bounded
+// commit queue drained strictly in vtime order — the runtime's software
+// stand-in for the simulator's per-tile task units and GVT-gated commit
+// queues.
+//
+// mu guards the scheduler's mutable state and serializes dispatch,
+// commit and abort. Every write to the versioned store (a commit) happens
+// under it too, which is what lets validation read word versions without
+// the store's shard locks. Task bodies execute outside it and only read
+// the store.
 type sched struct {
 	r  *Runtime
 	mu sync.Mutex
@@ -73,13 +121,16 @@ type sched struct {
 	cond *sync.Cond
 
 	// ready holds runnable tasks; ready[0] is the minimum ready vtime.
-	ready taskHeap
+	ready vtHeap
 	// running holds the dispatched, not-yet-finished attempts: at most
 	// one per worker, so a scan is cheaper than any ordered structure.
 	running []*task
 	// commitQ holds executed tasks awaiting their turn to validate and
 	// commit in vtime order.
-	commitQ taskHeap
+	commitQ vtHeap
+	// commitCap is the commit queue's capacity for dispatch (see
+	// popEligibleLocked); 0 lifts the bound. RunPhase sets it.
+	commitCap int
 	// envs holds retired attempt buffers for reuse (see retireLocked).
 	envs []*taskEnv
 
@@ -94,6 +145,9 @@ type sched struct {
 
 	commits, aborts, retries uint64
 	enqueues, dequeues       uint64
+	// stalls counts dispatches refused because the commit queue was full;
+	// peakCommitQ is the deepest the commit queue has been.
+	stalls, peakCommitQ uint64
 }
 
 // recycleMax bounds the buffers a retired attempt hands on. Reuse clears
@@ -115,7 +169,9 @@ func newSched(r *Runtime, conservative bool) *sched {
 func (s *sched) retireLocked(t *task) {
 	e := t.env
 	t.env = nil
-	if len(e.reads) <= recycleMax && len(e.writes) <= recycleMax &&
+	// The read index holds one entry per read-set slot, so cap(e.reads)
+	// bounds both.
+	if cap(e.reads) <= recycleMax && len(e.writes) <= recycleMax &&
 		cap(e.children) <= recycleMax && cap(e.frees) <= recycleMax {
 		s.envs = append(s.envs, e)
 	}
@@ -126,7 +182,7 @@ func (s *sched) abortLocked(t *task) {
 	s.aborts++
 	s.retries++
 	s.retireLocked(t)
-	heap.Push(&s.ready, t)
+	s.ready.push(t)
 	s.cond.Broadcast()
 }
 
@@ -137,7 +193,7 @@ func (s *sched) abortLocked(t *task) {
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
 	s.enqueues++
-	heap.Push(&s.ready, &task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
+	s.ready.push(&task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
 }
 
 // minActiveLocked returns the minimum vtime over ready and running tasks
@@ -166,7 +222,7 @@ func (s *sched) minActiveLocked() (vtime, bool) {
 func (s *sched) minUncommittedTSLocked() (uint64, bool) {
 	min, ok := s.minActiveLocked()
 	ts, any := min.ts, ok
-	if s.commitQ.Len() > 0 {
+	if len(s.commitQ) > 0 {
 		if h := s.commitQ[0].vt.ts; !any || h < ts {
 			ts, any = h, true
 		}
@@ -178,6 +234,13 @@ func (s *sched) minUncommittedTSLocked() (uint64, bool) {
 // none is runnable. Speculative mode dispatches the global ready minimum
 // regardless of what is still uncommitted; conservative mode holds tasks
 // back until their timestamp is the minimum uncommitted timestamp.
+//
+// Both modes bound run-ahead like the paper's per-core commit queues: a
+// worker stalls while the commit queue holds commitCap entries. The
+// exception is a ready head that precedes the commit queue head (the
+// §4.7 progress rule: the earliest task may always run). Without it the
+// phase could deadlock, with the queue full of tasks waiting on a ready
+// task that nothing may dispatch.
 func (s *sched) popEligibleLocked() *task {
 	if len(s.ready) == 0 {
 		return nil
@@ -187,13 +250,18 @@ func (s *sched) popEligibleLocked() *task {
 			return nil
 		}
 	}
-	return heap.Pop(&s.ready).(*task)
+	if s.commitCap > 0 && len(s.commitQ) >= s.commitCap && !s.ready[0].vt.less(s.commitQ[0].vt) {
+		s.stalls++
+		return nil
+	}
+	return s.ready.pop()
 }
 
 // next blocks until it can hand the calling worker a task, with a
 // (possibly recycled) attempt buffer in t.env, or returns nil when the
-// phase is drained (or poisoned by err). It also drives the commit
-// queue: every wakeup drains whatever has become committable.
+// phase is drained (or poisoned by err). It takes s.mu for the whole
+// decision and also drives the commit queue: every wakeup drains
+// whatever has become committable.
 func (s *sched) next() *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,6 +276,7 @@ func (s *sched) next() *task {
 		if t := s.popEligibleLocked(); t != nil {
 			s.running = append(s.running, t)
 			s.dequeues++
+			t.at = s.commits
 			if n := len(s.envs); n > 0 {
 				t.env = s.envs[n-1]
 				s.envs[n-1] = nil
@@ -217,7 +286,7 @@ func (s *sched) next() *task {
 			}
 			return t
 		}
-		if len(s.ready) == 0 && len(s.running) == 0 && s.commitQ.Len() == 0 {
+		if len(s.ready) == 0 && len(s.running) == 0 && len(s.commitQ) == 0 {
 			s.done = true
 			s.cond.Broadcast()
 			return nil
@@ -237,7 +306,8 @@ func (s *sched) stopLocked(t *task) {
 func (s *sched) finish(t *task) {
 	s.mu.Lock()
 	s.stopLocked(t)
-	heap.Push(&s.commitQ, t)
+	s.commitQ.push(t)
+	s.peakCommitQ = max(s.peakCommitQ, uint64(len(s.commitQ)))
 	s.tryCommitsLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -254,7 +324,7 @@ func (s *sched) finish(t *task) {
 func (s *sched) handlePanic(t *task, pval any) {
 	s.mu.Lock()
 	s.stopLocked(t)
-	if !s.validLocked(t.env) {
+	if !s.validLocked(t) {
 		s.abortLocked(t)
 		s.mu.Unlock()
 		return
@@ -281,10 +351,16 @@ func (s *sched) failLocked(err error) {
 }
 
 // validLocked checks an attempt's read set against current committed
-// versions. Commits only happen under s.mu, so the check is stable.
-func (s *sched) validLocked(env *taskEnv) bool {
-	for addr, rec := range env.reads {
-		if s.r.store.version(addr) != rec.ver {
+// versions. Commits only happen under s.mu, which the caller holds, so
+// the check is stable. If nothing has committed since the attempt was
+// dispatched, no version can have moved since it read them, so the walk
+// is skipped: an exact answer, not a weaker check.
+func (s *sched) validLocked(t *task) bool {
+	if s.commits == t.at {
+		return true
+	}
+	for _, rd := range t.env.reads {
+		if s.r.store.version(rd.addr) != rd.ver {
 			return false
 		}
 	}
@@ -300,13 +376,13 @@ func (s *sched) validLocked(env *taskEnv) bool {
 // vtime uncommitted task can never be invalidated while running (nothing
 // may commit under it), so every task eventually commits.
 func (s *sched) tryCommitsLocked() {
-	for s.commitQ.Len() > 0 && s.err == nil {
-		head := s.commitQ[0]
+	for len(s.commitQ) > 0 && s.err == nil {
+		head := s.commitQ[0].t
 		if min, ok := s.minActiveLocked(); ok && min.less(head.vt) {
 			return
 		}
-		heap.Pop(&s.commitQ)
-		if !s.validLocked(head.env) {
+		s.commitQ.pop()
+		if !s.validLocked(head) {
 			s.abortLocked(head)
 			continue
 		}

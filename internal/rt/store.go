@@ -21,7 +21,8 @@ import (
 //     between the read and the commit, and the task aborts and retries
 //     (optimistic concurrency control with a write buffer, after Saad et
 //     al.'s ordered transaction processing);
-//   - a committed write bumps the word's version under the shard lock.
+//   - a committed write bumps the word's version under the shard lock,
+//     while the committer also holds the scheduler lock.
 //
 // At quiescence the overlay is flushed into the base memory, so between
 // phases (and after the run) guest memory reads exactly like the
@@ -73,17 +74,17 @@ func (s *store) read(addr uint64) (val, ver uint64) {
 }
 
 // version returns the current version of addr (0 = untouched base word).
+// The caller must hold the scheduler lock. It reads without the shard
+// lock: every writer (commitWrite) also holds the scheduler lock, so no
+// write can race it, and concurrent speculative readers only read.
 func (s *store) version(addr uint64) uint64 {
-	sh := s.shard(addr)
-	sh.mu.RLock()
-	w := sh.words[addr]
-	sh.mu.RUnlock()
-	return w.ver
+	return s.shard(addr).words[addr].ver
 }
 
 // commitWrite publishes one committed word, bumping its version. Callers
-// serialize commits (the scheduler lock), so two commitWrites never race;
-// the shard lock orders them against concurrent speculative readers.
+// hold the scheduler lock, so two commitWrites never race and validation
+// (version) sees no write in flight; the shard lock orders them against
+// concurrent speculative readers.
 func (s *store) commitWrite(addr, val uint64) {
 	sh := s.shard(addr)
 	sh.mu.Lock()
