@@ -11,7 +11,8 @@ import (
 )
 
 // access performs one conflict-checked, eagerly-versioned memory access
-// (§4.3–4.4). It returns the access latency and, for loads, the value.
+// (§4.3–4.4): a store of val to addr when isWrite, else a load. It returns
+// the access latency and, for loads, the value.
 //
 // Check hierarchy (Fig 7): L1 load hits are conflict-free; everything else
 // checks the local tile (other cores + commit queue signatures); L2 misses
@@ -19,9 +20,8 @@ import (
 // directory's sharer/sticky bits. Any later-virtual-time conflicting task
 // is aborted. Thanks to eager versioning, reads always see the latest
 // (possibly speculative) value in place — data forwarding needs no logic.
-func (m *Machine) access(c *cpu, t *task, op guest.Op) (lat, val uint64) {
-	isWrite := op.Kind == guest.OpStore
-	line := mem.Line(op.Addr)
+func (m *Machine) access(c *cpu, t *task, isWrite bool, addr, val uint64) (lat, loaded uint64) {
+	line := mem.Line(addr)
 	res := m.hier.Access(cache.Access{
 		Core: c.id, Tile: c.tile, Line: line,
 		Write: isWrite, Spec: t.spec(), VT: t.vt,
@@ -68,15 +68,16 @@ func (m *Machine) access(c *cpu, t *task, op guest.Op) (lat, val uint64) {
 		tt := m.tiles[t.tile]
 		if isWrite {
 			t.ws.InsertProbe(&m.probe)
-			if tt.ws0.rows != nil {
-				tt.ws0.set(m.probe.Way0(), t.slot)
-				t.ws0Bits = append(t.ws0Bits, m.probe.Way0())
-			}
 		} else {
 			t.rs.InsertProbe(&m.probe)
-			if tt.rs0.rows != nil {
-				tt.rs0.set(m.probe.Way0(), t.slot)
-				t.rs0Bits = append(t.rs0Bits, m.probe.Way0())
+		}
+		if tt.way0.words != nil {
+			i0 := m.probe.Way0()
+			tt.way0.set(i0, t.slot, isWrite)
+			if isWrite {
+				t.ws0Bits = append(t.ws0Bits, i0)
+			} else {
+				t.rs0Bits = append(t.rs0Bits, i0)
 			}
 		}
 	}
@@ -84,24 +85,13 @@ func (m *Machine) access(c *cpu, t *task, op guest.Op) (lat, val uint64) {
 	if isWrite {
 		// Eager versioning: log the old value, write in place.
 		if t.spec() {
-			t.undo = append(t.undo, undoRec{addr: op.Addr, old: m.gmem.Load(op.Addr)})
+			t.undo = append(t.undo, undoRec{addr: addr, old: m.gmem.Load(addr)})
 		}
-		m.gmem.Store(op.Addr, op.Val)
-	} else {
-		val = m.gmem.Load(op.Addr)
+		m.gmem.Store(addr, val)
+		return lat, 0
 	}
-	if debugAccessHook != nil {
-		if !isWrite {
-			op.Val = val
-		}
-		debugAccessHook(m, t, op, res)
-	}
-	return lat, val
+	return lat, m.gmem.Load(addr)
 }
-
-// debugAccessHook, when set by tests, observes every conflict-checked
-// access after it is applied.
-var debugAccessHook func(m *Machine, t *task, op guest.Op, res cache.Result)
 
 // debugAbortHook, when set by tests, observes every abort.
 var debugAbortHook func(m *Machine, victim *task, discard bool)
@@ -109,9 +99,6 @@ var debugAbortHook func(m *Machine, victim *task, discard bool)
 // debugCommitHook, when set by tests, observes every task commit (called
 // before the task's state is torn down, so parent/children are intact).
 var debugCommitHook func(m *Machine, t *task)
-
-// debugProbeHook, when set by tests, observes every conflict probe.
-var debugProbeHook func(accessor *task, tileID int, v *task)
 
 func (m *Machine) checkLat(l uint64) uint64 {
 	if m.cfg.Cache.ZeroLatency {
@@ -139,9 +126,6 @@ func (m *Machine) checkTile(tileID int, accessor *task, line uint64, isWrite boo
 	// entry order); victims are sorted by it below so abort order is
 	// deterministic and independent of how candidates were found.
 	probe := func(v *task, key uint64) {
-		if debugProbeHook != nil {
-			debugProbeHook(accessor, tileID, v)
-		}
 		if v == nil || v == accessor || !v.spec() {
 			return
 		}
@@ -168,24 +152,13 @@ func (m *Machine) checkTile(tileID int, accessor *task, line uint64, isWrite boo
 	}
 
 	start := len(*victims)
-	if tt.ws0.rows != nil {
+	if tt.way0.words != nil {
 		// Way-0 fast path: only tasks whose way-0 bit for this line is set
 		// can pass a signature probe; everything else would miss at way 0.
 		// Probing exactly those tasks is bit-identical to scanning all.
-		i0 := m.probe.Way0()
-		wsRow, rsRow := tt.ws0.rows[i0], tt.rs0.rows[i0]
-		nw := len(wsRow)
-		if len(rsRow) > nw {
-			nw = len(rsRow)
-		}
-		for w := 0; w < nw; w++ {
-			var bits uint64
-			if w < len(wsRow) {
-				bits = wsRow[w]
-			}
-			if w < len(rsRow) {
-				bits |= rsRow[w]
-			}
+		wsRow, rsRow := tt.way0.row(m.probe.Way0())
+		for w, ws := range wsRow {
+			bits := ws | rsRow[w]
 			for bits != 0 {
 				v := tt.slotTasks[w*64+trailingZeros(bits)]
 				bits &= bits - 1

@@ -257,7 +257,8 @@ func (m *Machine) commitTask(t *task) {
 func (m *Machine) assertCommitOrder(t *task) {
 	now := m.eng.Now()
 	for _, tt := range m.tiles {
-		for _, u := range tt.idleQ.h {
+		for _, e := range tt.idleQ.h {
+			u := e.t
 			if b := u.boundVT(now); b.Less(t.vt) {
 				panic(fmt.Sprintf("core: committing %v but idle task ts=%d could precede it", t.vt, u.desc.TS))
 			}

@@ -76,16 +76,14 @@ type tile struct {
 	// It is a min-heap on timestamp.
 	overflow descHeap
 
-	// ws0/rs0 index the tile's speculative tasks by way-0 signature bit:
-	// ws0[i] is a bitmap (over tile slot ids) of the tasks whose write-set
-	// filter has way-0 bit i set, and likewise rs0 for read sets. A
-	// signature probe can only hit a task whose way-0 bit for the probed
-	// line is set, so conflict checks probe exactly the tasks these
-	// bitmaps name instead of scanning every core and commit queue entry —
-	// the host-side equivalent of the hardware's parallel signature CAM
-	// (Fig 8), with bit-exact results. Unused (nil) for Precise
-	// signatures, which have no ways; those configs scan fully.
-	ws0, rs0 slotBitmaps
+	// way0 indexes the tile's speculative tasks by way-0 signature bit
+	// (see way0Index). A signature probe can only hit a task whose way-0
+	// bit for the probed line is set, so conflict checks probe exactly the
+	// tasks the index names instead of scanning every core and commit
+	// queue entry — the host-side equivalent of the hardware's parallel
+	// signature CAM (Fig 8), with bit-exact results. Unused (nil) for
+	// Precise signatures, which have no ways; those configs scan fully.
+	way0 way0Index
 
 	// slotTasks maps tile slot ids to the dispatched speculative tasks
 	// holding them; freeSlots recycles ids. Slots are assigned at dispatch
@@ -197,8 +195,7 @@ func NewMachine(cfg Config, prog *Program) (*Machine, error) {
 	for i := range m.tiles {
 		t := &tile{id: i}
 		if n := cfg.Bloom.Way0Bits(); n > 0 {
-			t.ws0.init(n)
-			t.rs0.init(n)
+			t.way0 = newWay0Index(n)
 		}
 		m.tiles[i] = t
 	}
@@ -461,39 +458,65 @@ func (m *Machine) graveTask(t *task) {
 	m.taskGrave = append(m.taskGrave, t)
 }
 
-// slotBitmaps is one way-0 task index: rows[i] is a bitmap over tile slot
-// ids of the tasks whose signature has way-0 bit i set. Rows grow lazily
-// as the slot population crosses multiples of 64.
-type slotBitmaps struct {
-	rows [][]uint64
+// way0Index is a tile's way-0 task index. Row i holds two bitmaps over
+// tile slot ids: the tasks whose write-set filter has way-0 bit i set,
+// then those whose read-set filter does. Each bitmap is stride words and
+// the rows sit back to back in one flat slice, so a probe loads one row.
+// When a slot id passes the stride, the stride doubles and the rows are
+// rebuilt.
+type way0Index struct {
+	words  []uint64
+	stride int // words per bitmap; a row is 2*stride words
 }
 
-func (b *slotBitmaps) init(nBits int) {
-	b.rows = make([][]uint64, nBits)
-	// Pre-carve two words (128 slots) per row from one flat backing: tile
-	// slot populations are bounded by cores + commit queue + finish-wait,
-	// which fits in 128 for every bounded configuration. Unbounded-queue
-	// runs grow individual rows past their carved capacity as needed.
-	flat := make([]uint64, nBits*2)
-	for i := range b.rows {
-		b.rows[i] = flat[i*2 : i*2 : i*2+2]
-	}
+// newWay0Index starts at two words (128 slots) per bitmap: tile slot
+// populations are bounded by cores + commit queue + finish-wait, which
+// fits in 128 for every bounded configuration. Unbounded-queue runs grow.
+func newWay0Index(nBits int) way0Index {
+	return way0Index{words: make([]uint64, nBits*2*2), stride: 2}
 }
 
-func (b *slotBitmaps) set(i uint32, slot int32) {
-	row := b.rows[i]
-	for int(slot>>6) >= len(row) {
-		row = append(row, 0)
-	}
-	row[slot>>6] |= 1 << (slot & 63)
-	b.rows[i] = row
+// row returns way-0 bit i's write-set and read-set bitmaps.
+func (x *way0Index) row(i uint32) (ws, rs []uint64) {
+	base := int(i) * 2 * x.stride
+	return x.words[base : base+x.stride], x.words[base+x.stride : base+2*x.stride]
 }
 
-func (b *slotBitmaps) clear(i uint32, slot int32) {
-	row := b.rows[i]
-	if int(slot>>6) < len(row) {
-		row[slot>>6] &^= 1 << (slot & 63)
+// set marks slot in way-0 bit i's write-set (write) or read-set bitmap.
+func (x *way0Index) set(i uint32, slot int32, write bool) {
+	if int(slot>>6) >= x.stride {
+		x.grow(int(slot >> 6))
 	}
+	x.words[x.pos(i, slot, write)] |= 1 << (slot & 63)
+}
+
+// clear unmarks a slot set earlier (the stride only grows, so it fits).
+func (x *way0Index) clear(i uint32, slot int32, write bool) {
+	x.words[x.pos(i, slot, write)] &^= 1 << (slot & 63)
+}
+
+func (x *way0Index) pos(i uint32, slot int32, write bool) int {
+	p := int(i)*2*x.stride + int(slot>>6)
+	if !write {
+		p += x.stride
+	}
+	return p
+}
+
+// grow doubles the stride until word w fits and rebuilds the rows.
+func (x *way0Index) grow(w int) {
+	old := x.stride
+	stride := old
+	for stride <= w {
+		stride *= 2
+	}
+	nBits := len(x.words) / (2 * old)
+	words := make([]uint64, nBits*2*stride)
+	for i := 0; i < nBits; i++ {
+		copy(words[i*2*stride:], x.words[i*2*old:i*2*old+old])
+		copy(words[i*2*stride+stride:], x.words[i*2*old+old:(i+1)*2*old])
+	}
+	x.words, x.stride = words, stride
 }
 
 // assignSlot gives a dispatched speculative task a tile slot id.
@@ -516,10 +539,10 @@ func (m *Machine) releaseSlot(tt *tile, t *task) {
 		return
 	}
 	for _, i := range t.ws0Bits {
-		tt.ws0.clear(i, t.slot)
+		tt.way0.clear(i, t.slot, true)
 	}
 	for _, i := range t.rs0Bits {
-		tt.rs0.clear(i, t.slot)
+		tt.way0.clear(i, t.slot, false)
 	}
 	t.ws0Bits = t.ws0Bits[:0]
 	t.rs0Bits = t.rs0Bits[:0]
@@ -795,14 +818,14 @@ func (m *Machine) resumeTask(c *cpu, t *task, r guest.Result) {
 	m.handleOp(c, t, op)
 }
 
-func (m *Machine) handleOp(c *cpu, t *task, op guest.Op) {
+func (m *Machine) handleOp(c *cpu, t *task, op *guest.Op) {
 	switch op.Kind {
 	case guest.OpWork:
 		m.busy(c, t, op.N)
 		m.schedule(t, op.N, pendResume, 0)
 
 	case guest.OpLoad, guest.OpStore:
-		lat, val := m.access(c, t, op)
+		lat, val := m.access(c, t, op.Kind == guest.OpStore, op.Addr, op.Val)
 		m.busy(c, t, lat)
 		m.schedule(t, lat, pendResume, val)
 

@@ -71,7 +71,8 @@ func movableTasks(tt *tile, max int) []*task {
 		minDesc = minT.desc
 	}
 	var batch []*task
-	for _, t := range tt.idleQ.h {
+	for _, e := range tt.idleQ.h {
+		t := e.t
 		if spillable(t) && descLater(t.desc, minDesc) {
 			batch = append(batch, t)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-
 	"github.com/swarm-sim/swarm/internal/bloom"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/sim"
@@ -128,27 +126,102 @@ func (t *task) boundVT(now uint64) vt.Time {
 // orderQueue is the tile's order queue (§4.2): it finds the highest-priority
 // (smallest-timestamp) idle task. The hardware uses two small TCAMs with
 // single-lookup dispatch; functionally it is a min-heap on (timestamp,
-// arrival order) supporting removal (task dispatch, spill, or squash).
-type orderQueue struct{ h taskHeap }
+// nested path, arrival order) supporting removal (task dispatch, spill, or
+// squash). Entries carry the timestamp and arrival order inline, so a sift
+// compares keys without dereferencing tasks; the path is consulted only
+// on a timestamp tie between tasks that have one. Tasks track their
+// position in heapIdx.
+type orderQueue struct{ h []orderEntry }
+
+// orderEntry is one order-queue slot: t's key, snapshotted at Push (a
+// task's descriptor and seq do not change while it is queued).
+type orderEntry struct {
+	ts, seq uint64
+	t       *task
+}
 
 func (q *orderQueue) Len() int { return len(q.h) }
 
-func (q *orderQueue) Push(t *task) { heap.Push(&q.h, t) }
+func (q *orderQueue) Push(t *task) {
+	t.heapIdx = len(q.h)
+	q.h = append(q.h, orderEntry{ts: t.desc.TS, seq: t.seq, t: t})
+	q.up(t.heapIdx)
+}
 
 // Min returns the smallest-timestamp idle task without removing it.
 func (q *orderQueue) Min() *task {
 	if len(q.h) == 0 {
 		return nil
 	}
-	return q.h[0]
+	return q.h[0].t
 }
 
 // Remove deletes the task from the queue (dispatch, spill, or discard).
 func (q *orderQueue) Remove(t *task) {
-	if t.heapIdx >= 0 {
-		heap.Remove(&q.h, t.heapIdx)
-		t.heapIdx = -1
+	i := t.heapIdx
+	if i < 0 {
+		return
 	}
+	n := len(q.h) - 1
+	if i != n {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	q.h[n] = orderEntry{}
+	q.h = q.h[:n]
+	t.heapIdx = -1
+}
+
+func (q *orderQueue) less(i, j int) bool {
+	a, b := &q.h[i], &q.h[j]
+	if a.ts != b.ts {
+		return a.ts < b.ts
+	}
+	if pa, pb := a.t.desc.Path, b.t.desc.Path; len(pa)|len(pb) != 0 {
+		if c := tsdom.Compare(pa, pb); c != 0 {
+			return c < 0
+		}
+	}
+	return a.seq < b.seq
+}
+
+func (q *orderQueue) swap(i, j int) {
+	q.h[i], q.h[j] = q.h[j], q.h[i]
+	q.h[i].t.heapIdx = i
+	q.h[j].t.heapIdx = j
+}
+
+func (q *orderQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			return
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts entry i0 down within h[:n] and reports whether it moved.
+func (q *orderQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // descHeap is a min-heap of task descriptors ordered by (timestamp,
@@ -268,36 +341,4 @@ func (h *vtHeap) down(i int) {
 		h.swap(i, small)
 		i = small
 	}
-}
-
-type taskHeap []*task
-
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	if h[i].desc.TS != h[j].desc.TS {
-		return h[i].desc.TS < h[j].desc.TS
-	}
-	if c := tsdom.Compare(h[i].desc.Path, h[j].desc.Path); c != 0 {
-		return c < 0
-	}
-	return h[i].seq < h[j].seq
-}
-func (h taskHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *taskHeap) Push(x any) {
-	t := x.(*task)
-	t.heapIdx = len(*h)
-	*h = append(*h, t)
-}
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.heapIdx = -1
-	*h = old[:n-1]
-	return t
 }

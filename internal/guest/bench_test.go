@@ -24,6 +24,28 @@ func BenchmarkRendezvous(b *testing.B) {
 	co.Resume(Result{Val: 1}) // let the guest exit
 }
 
+// BenchmarkPostedOps measures the per-operation cost of result-free ops
+// (stores), which the guest posts without switching: one coroutine round
+// trip is shared by postLimit ops.
+func BenchmarkPostedOps(b *testing.B) {
+	stop := false
+	co := StartTask(func(e TaskEnv) {
+		for !stop {
+			e.Store(0, 1)
+		}
+	}, TaskDesc{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if op := co.Resume(Result{}); op.Kind != OpStore {
+			b.Fatal("unexpected op")
+		}
+	}
+	b.StopTimer()
+	stop = true
+	for co.Resume(Result{}).Kind != OpDone { // drain, let the guest exit
+	}
+}
+
 // BenchmarkStartTask measures task-launch overhead (goroutine spawn +
 // first rendezvous), paid once per task execution.
 func BenchmarkStartTask(b *testing.B) {

@@ -5,21 +5,25 @@
 // applies it atomically, and resumes the guest.
 //
 // Two transports implement the surrender: Coroutine runs the guest as an
-// iter.Pull coroutine, switching stacks on the caller's goroutine once per
-// operation (used when several guests interleave: Swarm cores, baseline
-// threads), and direct execution, where the simulator embeds an Env that
-// applies operations inline (used for single-threaded serial baselines and
-// the oracle profiler, which need no interleaving).
+// iter.Pull coroutine on the caller's goroutine (used when several guests
+// interleave: Swarm cores, baseline threads), and direct execution, where
+// the simulator embeds an Env that applies operations inline (used for
+// single-threaded serial baselines and the oracle profiler, which need no
+// interleaving). A coroutine switches stacks once per result-bearing
+// operation (Load, Alloc, CAS, FetchAdd): result-free operations are
+// buffered, and the guest runs ahead past them (see Coroutine).
 //
 // Guest code obeys a purity contract: between surrendered operations a
 // body touches only coroutine-local state (locals, its Env, read-only
 // captured data) — every machine-visible effect flows through a yielded
-// Op. Three things rest on it. Simulations are deterministic: a run is a
-// function of its configuration alone. The native runtime (internal/rt)
-// can run the same bodies concurrently on host worker goroutines against
-// its own Env. And rt's DebugChecks mode can re-execute each committed
-// body against committed state and demand the same effects, which is how
-// an impure body is caught.
+// Op. Four things rest on it. Simulations are deterministic: a run is a
+// function of its configuration alone. A coroutine may run a body ahead of
+// the machine past result-free operations, since nothing the body does in
+// between is visible and it sees the same loaded values either way. The
+// native runtime (internal/rt) can run the same bodies concurrently on
+// host worker goroutines against its own Env. And rt's DebugChecks mode
+// can re-execute each committed body against committed state and demand
+// the same effects, which is how an impure body is caught.
 package guest
 
 import (
@@ -200,11 +204,40 @@ type ThreadFn func(ThreadEnv)
 // abortSignal unwinds a guest coroutine when its task is squashed.
 type abortSignal struct{}
 
-// Coroutine runs one guest body with a strict one-(Result, Op)-pair-per-
-// Resume rendezvous. The transport is iter.Pull: the runtime switches
-// stacks directly (no scheduler, no channels, no locks), which is an order
-// of magnitude cheaper per surrendered operation than a goroutine
-// rendezvous and keeps the whole simulation on one OS thread.
+// opPanic marks the position of a captured guest panic in a coroutine's
+// op buffer; Resume never hands it out (see Coroutine).
+const opPanic OpKind = -1
+
+// postLimit bounds how many result-free ops a guest runs ahead of the
+// machine before it switches anyway. It caps the per-coroutine buffer and
+// how much host work an aborted body wastes.
+const postLimit = 32
+
+// Coroutine runs one guest body against the machine. The transport is
+// iter.Pull: the runtime switches stacks directly (no scheduler, no
+// channels, no locks), which is an order of magnitude cheaper per
+// surrendered operation than a goroutine rendezvous and keeps the whole
+// simulation on one OS thread.
+//
+// The guest runs ahead past result-free ops. Store, Work, Enqueue (and
+// its variants) and Free append to an op buffer and return at once; the
+// guest switches to the machine only at a result-bearing op (Load, Alloc,
+// CAS, FetchAdd), at body end, or when postLimit ops are buffered. Resume
+// hands the buffered ops out one per call and switches back in only once
+// the buffer is drained, so the machine still applies each op when its
+// predecessor's event fires. The purity contract (package doc) makes this
+// invisible: between ops a body touches only coroutine-local state, and
+// it sees the same loaded values whenever it runs. Three edge cases keep
+// the one-op-per-switch semantics:
+//   - Resume(Abort) drops the unconsumed buffer and switches in to unwind
+//     the guest, which answers OpAborted after running its defers.
+//   - A guest whose body already ended (parked at its tail, OpDone still
+//     buffered) answers an abort with OpAborted without switching in: its
+//     job is never re-run.
+//   - A non-abort guest panic is captured at its position in the buffer.
+//     Resume re-raises it when the machine reaches that position; if the
+//     task aborts first, the panic is dropped, exactly as the body would
+//     have been unwound before reaching it.
 //
 // Task coroutines are pooled: the pulled iterator survives its task body
 // and parks until a later StartTask hands it the next one (tasks are tiny
@@ -213,13 +246,25 @@ type abortSignal struct{}
 // cost). Thread coroutines (StartThread) live exactly as long as their
 // body.
 type Coroutine struct {
-	next    func() (Op, bool)
+	next    func() (struct{}, bool)
 	stop    func()
-	yieldFn func(Op) bool // set by the sequence body on first entry
+	yieldFn func(struct{}) bool // set by the sequence body on first entry
 
-	// res carries the simulator's reply into the guest: Resume writes it,
+	// res carries the machine's reply into the guest: Resume writes it,
 	// then switches to the guest, which reads it on return from yield.
 	res Result
+
+	// ops[head:n] are the guest's ops not yet handed out. The guest
+	// appends only while it runs, and it runs only after Resume has
+	// handed out every op and reset n and head to zero. The extra slot
+	// holds the op the guest switches at (result-bearing or tail).
+	ops     [postLimit + 1]Op
+	n, head int
+
+	// between is set while the guest is parked outside a body: at its
+	// tail yield after a body ended, or before its first body.
+	between  bool
+	panicVal any // captured guest panic, buffered as opPanic
 
 	// job carries the next task body into a pooled coroutine: StartTask
 	// writes it before the first Resume switches in.
@@ -255,7 +300,7 @@ func StartTask(fn TaskFn, desc TaskDesc) *Coroutine {
 	}
 	taskPool.Unlock()
 	if co == nil {
-		co = &Coroutine{pooled: true}
+		co = &Coroutine{pooled: true, between: true}
 		co.env = coTaskEnv{coEnv: coEnv{co: co}}
 		co.next, co.stop = iter.Pull(co.taskSeq)
 	}
@@ -264,39 +309,65 @@ func StartTask(fn TaskFn, desc TaskDesc) *Coroutine {
 	return co
 }
 
-// taskSeq is a pooled coroutine's op stream: an endless loop of task
-// bodies, one OpDone/OpAborted per body, parking between bodies simply by
-// returning from yield into the next loop iteration.
-func (co *Coroutine) taskSeq(yield func(Op) bool) {
+// taskSeq is a pooled coroutine's body loop: one task body per iteration,
+// each ending in a tail op (see end), parking between bodies simply by
+// waiting in the tail yield for the next Resume.
+func (co *Coroutine) taskSeq(yield func(struct{}) bool) {
 	co.yieldFn = yield
 	for {
+		co.between = false
 		j := co.job
 		co.env.desc = j.desc
 		co.env.forks = 0
-		if runGuest(func() { j.fn(&co.env) }) {
-			if !yield(Op{Kind: OpAborted}) {
-				return
-			}
-		} else if !yield(Op{Kind: OpDone}) {
+		co.end(runGuest(func() { j.fn(&co.env) }))
+		if !yield(struct{}{}) {
 			return
 		}
+		co.reraise()
 	}
 }
 
-// runGuest executes a guest body, converting an abort unwind into a
-// boolean. Any other panic propagates.
-func runGuest(body func()) (aborted bool) {
+// end appends the tail op recording how a body ended. An abort discards
+// whatever the unwind posted; a captured panic waits behind the ops the
+// body posted before it.
+func (co *Coroutine) end(aborted bool, p any) {
+	co.between = true
+	switch {
+	case aborted:
+		co.n = 0
+		co.slot(OpAborted)
+	case p != nil:
+		co.panicVal = p
+		co.slot(opPanic)
+	default:
+		co.slot(OpDone)
+	}
+}
+
+// reraise runs in the guest when the machine switches into its tail yield:
+// if the machine reached a captured panic, the panic resumes here, and
+// iter.Pull carries it out of Resume as if the body had panicked just now.
+func (co *Coroutine) reraise() {
+	if p := co.panicVal; p != nil {
+		co.panicVal = nil
+		panic(p)
+	}
+}
+
+// runGuest executes a guest body, reporting an abort unwind as aborted and
+// capturing any other panic as p.
+func runGuest(body func()) (aborted bool, p any) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortSignal); ok {
 				aborted = true
 				return
 			}
-			panic(r)
+			p = r
 		}
 	}()
 	body()
-	return false
+	return false, nil
 }
 
 // Recycle parks a completed task coroutine for reuse by a later StartTask.
@@ -318,63 +389,125 @@ func (co *Coroutine) Recycle() {
 
 // StartThread launches a coroutine running a baseline thread body.
 func StartThread(fn ThreadFn, id, threads int) *Coroutine {
-	co := &Coroutine{}
+	co := &Coroutine{between: true}
 	env := &coThreadEnv{coEnv{co: co}, id, threads}
-	co.next, co.stop = iter.Pull(func(yield func(Op) bool) {
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
 		co.yieldFn = yield
-		if runGuest(func() { fn(env) }) {
-			yield(Op{Kind: OpAborted})
-			return
+		co.between = false
+		co.end(runGuest(func() { fn(env) }))
+		if yield(struct{}{}) {
+			co.reraise()
 		}
-		yield(Op{Kind: OpDone})
 	})
 	return co
 }
 
-// Resume delivers a result to the guest and returns its next operation.
-// After an Op of kind OpDone or OpAborted, Resume must not be called again.
-func (co *Coroutine) Resume(r Result) Op {
+// Resume delivers the machine's reply to the last op it handed out and
+// returns the guest's next operation. The Op points into the coroutine's
+// buffer and is valid until the next Resume. After an Op of kind OpDone or
+// OpAborted, Resume must not be called again.
+func (co *Coroutine) Resume(r Result) *Op {
 	if co.done {
 		panic("guest: Resume after completion")
 	}
-	co.res = r
-	op, ok := co.next()
-	if !ok {
-		panic("guest: coroutine terminated without yielding")
+	switch {
+	case r.Abort:
+		co.n, co.head = 0, 0
+		if co.between {
+			// The body already ended: nothing to unwind. Its captured
+			// panic, if any, never happened.
+			co.panicVal = nil
+			co.slot(OpAborted)
+		} else {
+			co.res = r
+			co.switchIn()
+		}
+	case co.head == co.n:
+		co.n, co.head = 0, 0
+		co.res = r
+		co.switchIn()
 	}
-	if op.Kind == OpDone || op.Kind == OpAborted {
+	op := &co.ops[co.head]
+	co.head++
+	switch op.Kind {
+	case OpDone, OpAborted:
 		co.done = true
+		if !co.pooled {
+			co.stop() // end a thread coroutine parked at its tail
+		}
+	case opPanic:
+		co.done, co.pooled = true, false
+		co.switchIn() // re-raises the guest's panic (see reraise)
 	}
 	return op
+}
+
+// switchIn runs the guest until it next switches out.
+func (co *Coroutine) switchIn() {
+	if _, ok := co.next(); !ok {
+		panic("guest: coroutine terminated without yielding")
+	}
 }
 
 // Done reports whether the coroutine has finished (OpDone or OpAborted).
 func (co *Coroutine) Done() bool { return co.done }
 
-// coEnv implements Env over the rendezvous protocol.
+// slot appends an op of kind k to the buffer and returns it for the
+// caller to fill in.
+func (co *Coroutine) slot(k OpKind) *Op {
+	op := &co.ops[co.n]
+	co.n++
+	*op = Op{Kind: k}
+	return op
+}
+
+// post appends a result-free op without switching, first handing a full
+// buffer to the machine.
+func (co *Coroutine) post(k OpKind) *Op {
+	if co.n == postLimit {
+		co.wait()
+	}
+	return co.slot(k)
+}
+
+// wait switches to the machine until it has applied every buffered op and
+// returns its reply to the last one. An abort reply unwinds the guest.
+func (co *Coroutine) wait() Result {
+	if !co.yieldFn(struct{}{}) || co.res.Abort {
+		// Squashed, or the puller was stopped: unwind the guest.
+		panic(abortSignal{})
+	}
+	return co.res
+}
+
+// coEnv implements Env over the run-ahead protocol.
 type coEnv struct{ co *Coroutine }
 
-func (e *coEnv) exec(op Op) Result {
-	if !e.co.yieldFn(op) {
-		// The puller was stopped: unwind the guest.
-		panic(abortSignal{})
-	}
-	r := e.co.res
-	if r.Abort {
-		panic(abortSignal{})
-	}
-	return r
+func (e *coEnv) Load(addr uint64) uint64 {
+	e.co.slot(OpLoad).Addr = addr
+	return e.co.wait().Val
 }
 
-func (e *coEnv) Load(addr uint64) uint64 { return e.exec(Op{Kind: OpLoad, Addr: addr}).Val }
-func (e *coEnv) Store(addr, val uint64)  { e.exec(Op{Kind: OpStore, Addr: addr, Val: val}) }
+func (e *coEnv) Store(addr, val uint64) {
+	op := e.co.post(OpStore)
+	op.Addr, op.Val = addr, val
+}
+
 func (e *coEnv) Work(n uint64) {
 	if n > 0 {
-		e.exec(Op{Kind: OpWork, N: n})
+		e.co.post(OpWork).N = n
 	}
 }
-func (e *coEnv) Alloc(n uint64) uint64 { return e.exec(Op{Kind: OpAlloc, N: n}).Val }
-func (e *coEnv) Free(addr, n uint64)   { e.exec(Op{Kind: OpFree, Addr: addr, N: n}) }
+
+func (e *coEnv) Alloc(n uint64) uint64 {
+	e.co.slot(OpAlloc).N = n
+	return e.co.wait().Val
+}
+
+func (e *coEnv) Free(addr, n uint64) {
+	op := e.co.post(OpFree)
+	op.Addr, op.N = addr, n
+}
 
 type coTaskEnv struct {
 	coEnv
@@ -397,14 +530,14 @@ func (e *coTaskEnv) EnqueueArgs(fn FnID, ts uint64, args [3]uint64) {
 	if ts < e.desc.TS {
 		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
 	}
-	e.exec(Op{Kind: OpEnqueue, Task: TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}})
+	e.co.post(OpEnqueue).Task = TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}
 }
 
 func (e *coTaskEnv) EnqueueHinted(fn FnID, ts uint64, hint uint64, args [3]uint64) {
 	if ts < e.desc.TS {
 		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
 	}
-	e.exec(Op{Kind: OpEnqueue, Task: TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint)})
+	e.co.post(OpEnqueue).Task = TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint)
 }
 
 func (e *coTaskEnv) Fork(fn FnID, args ...uint64) {
@@ -422,7 +555,7 @@ func (e *coTaskEnv) EnqueueSub(fn FnID, hint uint64, args [3]uint64) {
 	if hint != NoHint {
 		d = d.WithHint(hint)
 	}
-	e.exec(Op{Kind: OpEnqueue, Task: d})
+	e.co.post(OpEnqueue).Task = d
 }
 
 type coThreadEnv struct {
@@ -433,8 +566,13 @@ type coThreadEnv struct {
 func (e *coThreadEnv) ID() int      { return e.id }
 func (e *coThreadEnv) Threads() int { return e.threads }
 func (e *coThreadEnv) CAS(addr, old, new uint64) bool {
-	return e.exec(Op{Kind: OpCAS, Addr: addr, Old: old, Val: new}).OK
+	op := e.co.slot(OpCAS)
+	op.Addr, op.Old, op.Val = addr, old, new
+	return e.co.wait().OK
 }
+
 func (e *coThreadEnv) FetchAdd(addr, delta uint64) uint64 {
-	return e.exec(Op{Kind: OpFetchAdd, Addr: addr, Val: delta}).Val
+	op := e.co.slot(OpFetchAdd)
+	op.Addr, op.Val = addr, delta
+	return e.co.wait().Val
 }

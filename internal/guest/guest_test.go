@@ -8,7 +8,7 @@ func drive(co *Coroutine, answer func(Op) Result) []Op {
 	var ops []Op
 	r := Result{}
 	for {
-		op := co.Resume(r)
+		op := *co.Resume(r)
 		ops = append(ops, op)
 		if op.Kind == OpDone || op.Kind == OpAborted {
 			return ops
@@ -184,7 +184,7 @@ func TestManyCoroutinesInterleaved(t *testing.T) {
 			if co == nil {
 				continue
 			}
-			var op Op
+			var op *Op
 			if !started[i] {
 				op = co.Resume(Result{})
 				started[i] = true

@@ -145,7 +145,7 @@ func (m *Machine) access(th *thread, line uint64, write bool) uint64 {
 	return res.Latency
 }
 
-func (m *Machine) handleOp(th *thread, op guest.Op) {
+func (m *Machine) handleOp(th *thread, op *guest.Op) {
 	switch op.Kind {
 	case guest.OpWork:
 		th.busy += op.N
