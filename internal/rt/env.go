@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/mem"
 )
 
 // opCap bounds the operations one task attempt may issue. Inconsistent
@@ -18,13 +19,45 @@ const opCap = 1 << 24
 // opCapPanic is the sentinel thrown when a task attempt exhausts opCap.
 type opCapPanic struct{}
 
-// readRec is one read-set entry: the first value and version a task
-// observed at an address. Later loads of the same address return the
-// cached value, so a task can never see two versions of one word
-// (repeatable reads); cross-address inconsistency is caught by commit
-// validation, the panic path, or the op cap.
-type readRec struct {
+// entry is one attempt-set record. In the read set it holds the first
+// value and version a task observed at addr: later loads of the same
+// address return the cached value, so a task can never see two versions
+// of one word (repeatable reads); cross-address inconsistency is caught
+// by commit validation, the panic path, or the op cap. In the write set
+// it holds the value buffered for addr (ver unused).
+type entry struct {
 	addr, val, ver uint64
+}
+
+// linearMax is the size up to which an attempt set is searched by a
+// linear scan; past it, find indexes the set with a map. Swarm tasks
+// touch a few words, so most attempts never build one: on perfbench's rt
+// workload (seed 1, one pass) 0.10% of attempts pass 32 entries in
+// either set, against 0.81% past 16, and 32 ran the pass fastest of 8,
+// 16, 32 and 64 (treebuild, whose tasks read 17-32 words, gains most).
+const linearMax = 32
+
+// find returns the position of addr in set, or -1. Sets of up to
+// linearMax entries are scanned; a larger one is looked up in *idx
+// (address → position+1), which find creates on first need and brings up
+// to date with the entries appended since. Addresses in a set are
+// unique, so the map's size is the number of entries it already indexes.
+func find(set []entry, idx *map[uint64]int32, addr uint64) int {
+	if len(set) <= linearMax {
+		for i := range set {
+			if set[i].addr == addr {
+				return i
+			}
+		}
+		return -1
+	}
+	if *idx == nil {
+		*idx = make(map[uint64]int32, 2*len(set))
+	}
+	for i := len(*idx); i < len(set); i++ {
+		(*idx)[set[i].addr] = int32(i + 1)
+	}
+	return int((*idx)[addr]) - 1
 }
 
 // taskEnv implements guest.TaskEnv for one task attempt: reads come from
@@ -32,16 +65,16 @@ type readRec struct {
 // enqueues stay buffered until commit. The DebugChecks commit-time
 // re-execution uses a second, fresh taskEnv and compares the buffered
 // write/child sets for divergence. An attempt's taskEnv lives on one
-// worker goroutine; nothing here locks beyond the store's shard
-// read-locks. Retired envs are reused by later attempts (reset).
+// worker goroutine and takes no lock. Retired envs are reused by later
+// attempts (reset).
 type taskEnv struct {
 	r    *Runtime
 	desc guest.TaskDesc
 
-	reads    []readRec        // read set in first-read order; validation walks it
-	readIdx  map[uint64]int32 // address → its entry in reads
-	writes   map[uint64]uint64
-	order    []uint64 // write addresses in first-write order (determinism)
+	reads    []entry // read set in first-read order; validation walks it
+	writes   []entry // write set in first-write order; commit replays it
+	readIdx  map[uint64]int32
+	writeIdx map[uint64]int32
 	children []guest.TaskDesc
 	frees    []span
 	ops      uint64
@@ -53,22 +86,12 @@ type span struct {
 	addr, n uint64
 }
 
-func newTaskEnv(r *Runtime, desc guest.TaskDesc) *taskEnv {
-	return &taskEnv{
-		r:       r,
-		desc:    desc,
-		readIdx: make(map[uint64]int32),
-		writes:  make(map[uint64]uint64),
-	}
-}
-
 // reset readies a retired env for a new attempt of desc, keeping the
-// buffers' storage (sched.retireLocked bounds how much of it there is).
+// buffers' storage (sched.retireLocked bounds how much of it there is)
+// and dropping any index maps.
 func (e *taskEnv) reset(desc guest.TaskDesc) {
-	clear(e.readIdx)
-	clear(e.writes)
-	*e = taskEnv{r: e.r, desc: desc, reads: e.reads[:0], readIdx: e.readIdx, writes: e.writes,
-		order: e.order[:0], children: e.children[:0], frees: e.frees[:0]}
+	*e = taskEnv{r: e.r, desc: desc, reads: e.reads[:0], writes: e.writes[:0],
+		children: e.children[:0], frees: e.frees[:0]}
 }
 
 func (e *taskEnv) step(n uint64) {
@@ -82,25 +105,29 @@ func (e *taskEnv) step(n uint64) {
 // the committed store (recording the observed version).
 func (e *taskEnv) Load(addr uint64) uint64 {
 	e.step(1)
-	if v, ok := e.writes[addr]; ok {
-		return v
+	if i := find(e.writes, &e.writeIdx, addr); i >= 0 {
+		return e.writes[i].val
 	}
-	if i, ok := e.readIdx[addr]; ok {
+	if i := find(e.reads, &e.readIdx, addr); i >= 0 {
 		return e.reads[i].val
 	}
 	val, ver := e.r.store.read(addr)
-	e.readIdx[addr] = int32(len(e.reads))
-	e.reads = append(e.reads, readRec{addr: addr, val: val, ver: ver})
+	e.reads = append(e.reads, entry{addr: addr, val: val, ver: ver})
 	return val
 }
 
-// Store implements guest.Env: buffered until commit.
+// Store implements guest.Env: buffered until commit. A misaligned
+// address panics here, as mem.Memory.Store does under the simulator.
 func (e *taskEnv) Store(addr, val uint64) {
 	e.step(1)
-	if _, ok := e.writes[addr]; !ok {
-		e.order = append(e.order, addr)
+	if !mem.WordAligned(addr) {
+		panic(fmt.Sprintf("mem: misaligned store at %#x", addr))
 	}
-	e.writes[addr] = val
+	if i := find(e.writes, &e.writeIdx, addr); i >= 0 {
+		e.writes[i].val = val
+		return
+	}
+	e.writes = append(e.writes, entry{addr: addr, val: val})
 }
 
 // Work implements guest.Env. The native runtime executes for real, so
@@ -136,14 +163,18 @@ func (e *taskEnv) Timestamp() uint64 { return e.desc.TS }
 // Arg implements guest.TaskEnv.
 func (e *taskEnv) Arg(i int) uint64 { return e.desc.Args[i] }
 
-// Enqueue implements guest.TaskEnv.
-func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	var a [3]uint64
+// argWords packs a variadic argument list into a task descriptor's words.
+func argWords(args []uint64) (a [3]uint64) {
 	if len(args) > len(a) {
 		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
 	}
 	copy(a[:], args)
-	e.EnqueueArgs(fn, ts, a)
+	return a
+}
+
+// Enqueue implements guest.TaskEnv.
+func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
+	e.EnqueueArgs(fn, ts, argWords(args))
 }
 
 // EnqueueArgs implements guest.TaskEnv: children are buffered and become
@@ -151,16 +182,13 @@ func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
 // children never exist and aborts cannot cascade. Children inherit the
 // parent's nested path, keeping them inside its slice of the slot.
 func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
-	e.step(1)
-	e.children = append(e.children, guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args})
+	e.EnqueueHinted(fn, ts, guest.NoHint, args)
 }
 
 // EnqueueHinted implements guest.TaskEnv. Spatial hints steer the
 // simulator's tile mappers; the native scheduler places work by virtual
-// time only, so the hint is carried but unused.
+// time only, so the hint is carried but unused. NoHint leaves the child
+// unhinted (WithHint(NoHint) sets no key).
 func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
 	if ts < e.desc.TS {
 		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
@@ -172,12 +200,7 @@ func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]u
 // Fork implements guest.TaskEnv: a child ordered within the parent's
 // timestamp slot, after previously forked siblings.
 func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueSub(fn, guest.NoHint, a)
+	e.EnqueueSub(fn, guest.NoHint, argWords(args))
 }
 
 // EnqueueSub implements guest.TaskEnv. Fork indices restart at zero on
@@ -188,8 +211,5 @@ func (e *taskEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
 	e.step(1)
 	d := guest.TaskDesc{Fn: fn, TS: e.desc.TS, Path: e.desc.Path.Child(e.forks), Args: args}
 	e.forks++
-	if hint != guest.NoHint {
-		d = d.WithHint(hint)
-	}
-	e.children = append(e.children, d)
+	e.children = append(e.children, d.WithHint(hint))
 }

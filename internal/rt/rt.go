@@ -28,7 +28,6 @@ package rt
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -284,14 +283,16 @@ func (r *Runtime) recheckLocked(t *task) error {
 	if t.env.allocd {
 		return nil
 	}
-	env := newTaskEnv(r, t.desc)
+	env := &taskEnv{r: r, desc: t.desc}
 	panicked, pval := r.runBody(t, env)
 	if panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}
 	// slices.Equal, unlike reflect.DeepEqual, treats the nil slice of a
-	// fresh env and the emptied slice of a recycled one alike.
-	if !maps.Equal(env.writes, t.env.writes) ||
+	// fresh env and the emptied slice of a recycled one alike. A pure body
+	// writes in the same order on re-execution, so the write sets must
+	// match in order too.
+	if !slices.Equal(env.writes, t.env.writes) ||
 		!slices.Equal(env.children, t.env.children) ||
 		!slices.Equal(env.frees, t.env.frees) {
 		return r.taskErr(t, "diverged on re-execution — task bodies must be pure functions of guest memory")

@@ -3,6 +3,7 @@ package rt
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -233,7 +234,7 @@ func TestCommitQueueDispatchRule(t *testing.T) {
 		s := r.sched
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 2})
 		b := s.ready.pop()
-		b.env = newTaskEnv(r, b.desc)
+		b.env = &taskEnv{r: r, desc: b.desc}
 		if panicked, v := r.runBody(b, b.env); panicked {
 			t.Fatalf("%s: B panicked: %v", backend, v)
 		}
@@ -265,21 +266,28 @@ func TestCommitQueueDispatchRule(t *testing.T) {
 // TestRecycledAttemptBuffersStartClean drives contended same-timestamp
 // tasks that buffer writes, children and frees through aborts and
 // retries on reused attempt buffers, and checks that every attempt —
-// including the DebugChecks re-execution — starts with empty buffers,
-// that no child or free is committed twice or lost, and that a task
-// whose read set outgrows the recycle bound does not hand its maps on.
+// including the DebugChecks re-execution — starts with empty buffers and
+// no index maps, that no child or free is committed twice or lost, that
+// an attempt whose sets outgrow the linear-scan threshold (but not the
+// recycle bound) still reads its own writes and is recycled clean, and
+// that a task whose read set outgrows the recycle bound does not hand
+// its buffers on.
 func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several workers even on one CPU
 	const (
 		counter   = uint64(1 << 12)
 		childMark = uint64(1 << 14)
 		wideBase  = uint64(1 << 16)
+		midBase   = uint64(1 << 18)
 		n         = 200
+		nMid      = 8
+		midWords  = linearMax + 4 // past the threshold, within recycleMax
 	)
-	var dirty atomic.Int64
+	var dirty, indexed atomic.Int64
 	clean := func(e guest.TaskEnv) {
 		env := e.(*taskEnv)
-		if len(env.reads)+len(env.readIdx)+len(env.writes)+len(env.order)+len(env.children)+len(env.frees) != 0 ||
+		if len(env.reads)+len(env.writes)+len(env.children)+len(env.frees) != 0 ||
+			env.readIdx != nil || env.writeIdx != nil ||
 			env.ops != 0 || env.forks != 0 || env.allocd {
 			dirty.Add(1)
 		}
@@ -311,6 +319,26 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 		runtime.Gosched()
 		e.Store(counter, v+1+sum)
 	}
+	// mid adds 1 to each of midWords words, reading back every write
+	// through the write set's index, then bumps the counter.
+	mid := func(e guest.TaskEnv) {
+		clean(e)
+		for i := uint64(0); i < midWords; i++ {
+			a := midBase + 8*i
+			e.Store(a, e.Load(a)+1)
+		}
+		for i := uint64(0); i < midWords; i++ {
+			if a := midBase + 8*i; e.Load(a) == 0 {
+				panic("read-own-write lost past the linear-scan threshold")
+			}
+		}
+		if env := e.(*taskEnv); env.readIdx != nil && env.writeIdx != nil {
+			indexed.Add(1)
+		}
+		v := e.Load(counter)
+		runtime.Gosched()
+		e.Store(counter, v+1)
+	}
 
 	cfg := testConfig(t, 16, "rt")
 	cfg.DebugChecks = true
@@ -318,7 +346,7 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r.SetProgram([]guest.TaskFn{inc, child, wide}, []string{"inc", "child", "wide"})
+	r.SetProgram([]guest.TaskFn{inc, child, wide, mid}, []string{"inc", "child", "wide", "mid"})
 	if err := r.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -331,6 +359,9 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 		if i == n/2 {
 			r.EnqueueRootDesc(guest.TaskDesc{Fn: 2, TS: 1})
 		}
+		if i%(n/nMid) == 0 {
+			r.EnqueueRootDesc(guest.TaskDesc{Fn: 3, TS: 1})
+		}
 	}
 	if _, err := r.RunPhase(); err != nil {
 		t.Fatalf("RunPhase: %v", err)
@@ -339,8 +370,19 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 	if d := dirty.Load(); d != 0 {
 		t.Errorf("%d attempts started with buffers left over from an earlier attempt", d)
 	}
-	if got := r.Mem().Load(counter); got != n+1 {
-		t.Errorf("counter = %d, want %d", got, n+1)
+	if got := r.Mem().Load(counter); got != n+1+nMid {
+		t.Errorf("counter = %d, want %d", got, n+1+nMid)
+	}
+	if indexed.Load() == 0 {
+		t.Errorf("no attempt of mid indexed its sets; want them past linearMax = %d", linearMax)
+	}
+	if !slices.ContainsFunc(r.sched.envs, func(env *taskEnv) bool { return cap(env.writes) > linearMax }) {
+		t.Errorf("no recycled env held a write set past linearMax = %d; want mid's to be reused", linearMax)
+	}
+	for i := uint64(0); i < midWords; i++ {
+		if got := r.Mem().Load(midBase + 8*i); got != nMid {
+			t.Fatalf("mid word %d = %d, want %d", i, got, nMid)
+		}
 	}
 	for i := uint64(0); i < n; i++ {
 		if got := r.Mem().Load(childMark + 8*i); got != 1 {
@@ -352,9 +394,10 @@ func TestRecycledAttemptBuffersStartClean(t *testing.T) {
 		t.Errorf("aborts = %d, retries = %d: want contention to force retries", st.Aborts, st.Retries)
 	}
 	for _, env := range r.sched.envs {
-		if cap(env.reads) > recycleMax || len(env.readIdx) > recycleMax || len(env.writes) > recycleMax {
-			t.Errorf("recycled env holds room for %d reads (%d indexed), %d writes; bound is %d",
-				cap(env.reads), len(env.readIdx), len(env.writes), recycleMax)
+		if cap(env.reads) > recycleMax || cap(env.writes) > recycleMax ||
+			cap(env.children) > recycleMax || cap(env.frees) > recycleMax {
+			t.Errorf("recycled env holds room for %d reads, %d writes, %d children, %d frees; bound is %d",
+				cap(env.reads), cap(env.writes), cap(env.children), cap(env.frees), recycleMax)
 		}
 	}
 	// Each committed free returns its region exactly once: n fresh
@@ -568,7 +611,7 @@ func TestChildTimestampOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	env := newTaskEnv(r, guest.TaskDesc{Fn: 0, TS: 5})
+	env := &taskEnv{r: r, desc: guest.TaskDesc{Fn: 0, TS: 5}}
 	bad(env)
 }
 

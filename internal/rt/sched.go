@@ -150,11 +150,10 @@ type sched struct {
 	stalls, peakCommitQ uint64
 }
 
-// recycleMax bounds the buffers a retired attempt hands on. Reuse clears
-// the maps, and clear() costs a map's capacity, not its length: one
-// attempt that read thousands of words would otherwise tax every later
-// attempt that inherits its read set. The suite's tasks touch tens of
-// words: on perfbench's rt workload ~0.05% of attempts exceed the bound.
+// recycleMax bounds the buffers a retired attempt hands on: one attempt
+// that read thousands of words would otherwise pin that much storage on
+// the free list for good. The suite's tasks touch tens of words: on
+// perfbench's rt workload ~0.09% of attempts exceed the bound.
 const recycleMax = 64
 
 func newSched(r *Runtime, conservative bool) *sched {
@@ -169,9 +168,7 @@ func newSched(r *Runtime, conservative bool) *sched {
 func (s *sched) retireLocked(t *task) {
 	e := t.env
 	t.env = nil
-	// The read index holds one entry per read-set slot, so cap(e.reads)
-	// bounds both.
-	if cap(e.reads) <= recycleMax && len(e.writes) <= recycleMax &&
+	if cap(e.reads) <= recycleMax && cap(e.writes) <= recycleMax &&
 		cap(e.children) <= recycleMax && cap(e.frees) <= recycleMax {
 		s.envs = append(s.envs, e)
 	}
@@ -282,7 +279,7 @@ func (s *sched) next() *task {
 				s.envs[n-1] = nil
 				s.envs = s.envs[:n-1]
 			} else {
-				t.env = newTaskEnv(s.r, t.desc)
+				t.env = &taskEnv{r: s.r}
 			}
 			return t
 		}
@@ -393,8 +390,8 @@ func (s *sched) tryCommitsLocked() {
 			}
 		}
 		env := head.env
-		for _, addr := range env.order {
-			s.r.store.commitWrite(addr, env.writes[addr])
+		for _, w := range env.writes {
+			s.r.store.commitWrite(w.addr, w.val)
 		}
 		for _, d := range env.children {
 			s.enqueueLocked(d)
