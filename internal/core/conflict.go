@@ -176,10 +176,12 @@ func (m *Machine) checkTile(tileID int, accessor *task, line uint64, isWrite boo
 		for i := 0; i < m.cfg.CoresPerTile; i++ {
 			probe(m.cores[base+i].task, keyCore|uint64(i))
 		}
-		for _, v := range tt.commitQ.s {
+		for i := 0; i < tt.commitQ.Len(); i++ {
+			v := tt.commitQ.At(i)
 			probe(v, keyCommitQ|v.qSeq)
 		}
-		for _, v := range tt.finishWait.s {
+		for i := 0; i < tt.finishWait.Len(); i++ {
+			v := tt.finishWait.At(i)
 			probe(v, keyFinishWait|v.qSeq)
 		}
 	}
@@ -230,7 +232,7 @@ func (m *Machine) abortTask(t *task, discard bool) {
 			return // an idle task has no speculative state to squash
 		}
 		tt := m.tiles[t.tile]
-		tt.idleQ.Remove(t)
+		unqueue(&tt.idleQ, t, t.heapIdx)
 		t.state = taskKilled
 		m.freeSlot(t)
 		return
@@ -282,14 +284,14 @@ func (m *Machine) abortTask(t *task, discard bool) {
 		t.core = -1
 		m.scheduleDispatch(c, 1)
 	case taskFinishing:
-		tt.finishWait.Remove(t)
+		unqueue(&tt.finishWait, t, t.cqIdx)
 		c := m.cores[t.core]
 		c.abortedCyc += t.cyc
 		c.task = nil
 		t.core = -1
 		m.scheduleDispatch(c, 1)
 	case taskFinished:
-		tt.commitQ.Remove(t)
+		unqueue(&tt.commitQ, t, t.cqIdx)
 		if t.core >= 0 {
 			panic("core: finished task still bound to a core")
 		}
@@ -326,7 +328,7 @@ func (m *Machine) abortTask(t *task, discard bool) {
 	} else {
 		t.state = taskIdle
 		t.seq = m.nextSeq()
-		tt.idleQ.Push(t)
+		tt.idleQ.Push(t.idleKey(), t, &t.heapIdx)
 		m.wakeOneStalled(tt)
 	}
 	m.promoteFinishWaiters(tt)

@@ -90,10 +90,10 @@ const rescueDryRounds = 256
 // cores stalled behind full commit queues no freeSlot event ever comes.
 // The dry-round counter in gvtRound makes this the guaranteed retry.
 func (m *Machine) rescueOverflow(tt *tile) {
-	if len(tt.overflow) == 0 {
+	if tt.overflow.Len() == 0 {
 		return
 	}
-	if minIdle := tt.idleQ.Min(); minIdle != nil && !descLater(minIdle.desc, tt.overflow[0]) {
+	if minIdle := tt.idleQ.Min(); minIdle != nil && !descLater(minIdle.desc, tt.overflow.Min()) {
 		return // resident work is at or before the head; normal drains suffice
 	}
 	m.drainOverflow(tt)
@@ -171,8 +171,9 @@ func (m *Machine) tileMinVT(tt *tile, now uint64) vt.Time {
 	if t := tt.idleQ.Min(); t != nil {
 		minV = vt.Min(minV, descBoundVT(t.desc.TS, t.desc.Path, now, tt.id))
 	}
-	if len(tt.overflow) > 0 {
-		minV = vt.Min(minV, descBoundVT(tt.overflow[0].TS, tt.overflow[0].Path, now, tt.id))
+	if tt.overflow.Len() > 0 {
+		d := tt.overflow.Min()
+		minV = vt.Min(minV, descBoundVT(d.TS, d.Path, now, tt.id))
 	}
 	if tt.coalescerLive {
 		minV = vt.Min(minV, descBoundVT(tt.coalescerTS, tt.coalescerPath, now, tt.id))
@@ -225,9 +226,9 @@ func (m *Machine) commitTask(t *task) {
 	tt := m.tiles[t.tile]
 	switch t.state {
 	case taskFinished:
-		tt.commitQ.Remove(t)
+		unqueue(&tt.commitQ, t, t.cqIdx)
 	case taskFinishing:
-		tt.finishWait.Remove(t)
+		unqueue(&tt.finishWait, t, t.cqIdx)
 		// The stalled task still holds its core; release it.
 		m.releaseCore(m.cores[t.core], t)
 	default:
@@ -257,13 +258,14 @@ func (m *Machine) commitTask(t *task) {
 func (m *Machine) assertCommitOrder(t *task) {
 	now := m.eng.Now()
 	for _, tt := range m.tiles {
-		for _, e := range tt.idleQ.h {
-			u := e.t
+		for i := 0; i < tt.idleQ.Len(); i++ {
+			u := tt.idleQ.At(i)
 			if b := u.boundVT(now); b.Less(t.vt) {
 				panic(fmt.Sprintf("core: committing %v but idle task ts=%d could precede it", t.vt, u.desc.TS))
 			}
 		}
-		for _, d := range tt.overflow {
+		for i := 0; i < tt.overflow.Len(); i++ {
+			d := tt.overflow.At(i)
 			if descBoundVT(d.TS, d.Path, now, tt.id).Less(t.vt) {
 				panic(fmt.Sprintf("core: committing %v but overflow ts=%d path=%s could precede it", t.vt, d.TS, d.Path))
 			}
@@ -293,7 +295,7 @@ func (m *Machine) assertCommitOrder(t *task) {
 // dequeue, the algorithm has terminated).
 func (m *Machine) systemEmpty() bool {
 	for _, tt := range m.tiles {
-		if tt.nTasks != 0 || len(tt.overflow) != 0 || tt.coalescing || tt.coalescerLive {
+		if tt.nTasks != 0 || tt.overflow.Len() != 0 || tt.coalescing || tt.coalescerLive {
 			return false
 		}
 	}

@@ -6,13 +6,16 @@ import (
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/pq"
 	"github.com/swarm-sim/swarm/internal/tsdom"
 )
 
-// TestOrderQueueMatchesSortedReference drives the inline-key order queue
-// with random pushes (nested paths, heavy timestamp ties), removals of
-// random members and head dispatches, and checks it against a slice
-// sorted by (timestamp, path, seq) after every step.
+// TestOrderQueueMatchesSortedReference drives a tile's order queue (a
+// pq.Heap under idleKey) with random pushes (nested paths, heavy
+// timestamp ties), removals of random members and head dispatches, and
+// checks its minimum against a slice sorted by (timestamp, path, seq)
+// after every step. pq's FuzzHeap checks the heap's layout and position
+// fields.
 func TestOrderQueueMatchesSortedReference(t *testing.T) {
 	var root tsdom.Path
 	paths := []tsdom.Path{
@@ -21,19 +24,21 @@ func TestOrderQueueMatchesSortedReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
-		var q orderQueue
+		var q pq.Heap[*task]
 		var ref []*task
 		var seq uint64
 		push := func(tk *task) {
 			seq++
 			tk.seq = seq
-			q.Push(tk)
+			q.Push(tk.idleKey(), tk, &tk.heapIdx)
 			ref = append(ref, tk)
 		}
 		remove := func(i int) *task {
 			tk := ref[i]
 			ref = append(ref[:i], ref[i+1:]...)
-			q.Remove(tk)
+			if got := q.Remove(int(tk.heapIdx)); got != tk {
+				t.Fatal("Remove at a task's queue position took another task")
+			}
 			if tk.heapIdx != -1 {
 				t.Fatal("removed task keeps its queue position")
 			}
@@ -59,17 +64,9 @@ func TestOrderQueueMatchesSortedReference(t *testing.T) {
 				t.Fatalf("trial %d step %d: Min = ts %d seq %d, want ts %d seq %d",
 					trial, step, q.Min().desc.TS, q.Min().seq, ref[0].desc.TS, ref[0].seq)
 			}
-			for i, e := range q.h {
-				if e.t.heapIdx != i || e.ts != e.t.desc.TS || e.seq != e.t.seq {
-					t.Fatalf("entry %d out of sync with its task", i)
-				}
-				if i > 0 && q.less(i, (i-1)/2) {
-					t.Fatalf("heap order violated at %d", i)
-				}
-			}
 		}
 	}
-	if q := (orderQueue{}); q.Min() != nil {
+	if q := (pq.Heap[*task]{}); q.Min() != nil {
 		t.Fatal("empty queue has a minimum")
 	}
 }

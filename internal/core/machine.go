@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/mem"
 	"github.com/swarm-sim/swarm/internal/noc"
+	"github.com/swarm-sim/swarm/internal/pq"
 	"github.com/swarm-sim/swarm/internal/sim"
 	"github.com/swarm-sim/swarm/internal/tsdom"
 	"github.com/swarm-sim/swarm/internal/vt"
@@ -67,14 +67,14 @@ type tile struct {
 	id     int
 	nTasks int // occupied task queue entries
 
-	idleQ      orderQueue
-	commitQ    vtHeap // finished tasks, min-heap on virtual time
-	finishWait vtHeap // finished tasks stalled waiting for a CQ entry
+	idleQ      pq.Heap[*task] // idle tasks by idleKey; positions in heapIdx
+	commitQ    pq.Heap[*task] // finished tasks by cqKey; positions in cqIdx
+	finishWait pq.Heap[*task] // finished tasks stalled waiting for a CQ entry, likewise
 
 	// overflow holds task descriptors spilled to memory when the queue is
-	// full and the enqueuer is the GVT task (§4.7 deadlock avoidance).
-	// It is a min-heap on timestamp.
-	overflow descHeap
+	// full and the enqueuer is the GVT task (§4.7 deadlock avoidance),
+	// ordered by descKey.
+	overflow pq.Heap[guest.TaskDesc]
 
 	// way0 indexes the tile's speculative tasks by way-0 signature bit
 	// (see way0Index). A signature probe can only hit a task whose way-0
@@ -241,7 +241,7 @@ func (m *Machine) EnqueueRootDesc(d guest.TaskDesc) {
 	if m.hasSpace(tt) {
 		m.insertIdle(tt, m.newTask(d, target, nil))
 	} else {
-		heap.Push(&tt.overflow, d)
+		tt.overflow.Push(descKey(d), d, nil)
 	}
 }
 
@@ -284,7 +284,7 @@ func (m *Machine) Quiesced() bool { return m.started && !m.running }
 func (m *Machine) QueuedTasks() int {
 	n := 0
 	for _, tt := range m.tiles {
-		n += tt.nTasks + len(tt.overflow)
+		n += tt.nTasks + tt.overflow.Len()
 	}
 	for _, b := range m.spillStore {
 		n += len(b.descs)
@@ -360,7 +360,7 @@ func (m *Machine) describeState() string {
 		cq += t.commitQ.Len()
 		fw += t.finishWait.Len()
 		idle += t.idleQ.Len()
-		ovf += len(t.overflow)
+		ovf += t.overflow.Len()
 		if t.coalescing {
 			coal++
 		}
@@ -610,7 +610,7 @@ func (m *Machine) insertIdle(tt *tile, t *task) {
 	tt.nTasks++
 	t.state = taskIdle
 	t.tile = tt.id
-	tt.idleQ.Push(t)
+	tt.idleQ.Push(t.idleKey(), t, &t.heapIdx)
 	m.wakeOneStalled(tt)
 	m.checkSpillTrigger(tt)
 	m.coresPolicy(tt, t)
@@ -679,15 +679,15 @@ func (m *Machine) freeSlot(t *task) {
 // earliest work stays reachable.
 func (m *Machine) drainOverflow(tt *tile) {
 	spillLimit := m.cfg.TaskQPerTile() * m.cfg.SpillThresholdPct / 100
-	for len(tt.overflow) > 0 && m.hasSpace(tt) {
+	for tt.overflow.Len() > 0 && m.hasSpace(tt) {
 		belowLimit := m.cfg.UnboundedQueues || tt.nTasks < spillLimit
 		if !belowLimit {
 			minIdle := tt.idleQ.Min()
-			if minIdle != nil && !descLater(minIdle.desc, tt.overflow[0]) {
+			if minIdle != nil && !descLater(minIdle.desc, tt.overflow.Min()) {
 				return // head is already in hardware; wait for room
 			}
 		}
-		d := heap.Pop(&tt.overflow).(guest.TaskDesc)
+		d := tt.overflow.Pop()
 		m.insertIdle(tt, m.newTask(d, tt.id, nil))
 	}
 }
@@ -768,7 +768,7 @@ func (m *Machine) dispatch(c *cpu) {
 	}
 	tt.lastDequeue = now
 	tt.everDequeued = true
-	tt.idleQ.Remove(t)
+	unqueue(&tt.idleQ, t, t.heapIdx)
 
 	t.state = taskRunning
 	t.core = c.id
@@ -877,7 +877,7 @@ func (m *Machine) enqueueOp(c *cpu, t *task, d guest.TaskDesc, attempt int) {
 	case !m.gvt.Less(t.vt):
 		// t is the GVT task: its children may overflow to memory so it
 		// always makes progress (no parent tracking needed).
-		heap.Push(&tt.overflow, d)
+		tt.overflow.Push(descKey(d), d, nil)
 		m.mesh.Send(target, t.tile, noc.ClassEnqueue, noc.AckBytes)
 		m.st.overflowed++
 
@@ -915,8 +915,8 @@ func (m *Machine) tryFinish(c *cpu, t *task) {
 		// The heap only knows its minimum, so the max is a linear scan —
 		// this path runs only when the commit queue is full.
 		var maxF *task
-		for _, f := range tt.commitQ.s {
-			if maxF == nil || maxF.vt.Less(f.vt) {
+		for i := 0; i < tt.commitQ.Len(); i++ {
+			if f := tt.commitQ.At(i); maxF == nil || maxF.vt.Less(f.vt) {
 				maxF = f
 			}
 		}
@@ -926,13 +926,13 @@ func (m *Machine) tryFinish(c *cpu, t *task) {
 		} else {
 			t.state = taskFinishing
 			t.qSeq = m.nextQSeq()
-			tt.finishWait.Push(t)
+			tt.finishWait.Push(t.cqKey(), t, &t.cqIdx)
 			return // core stays held; commit/abort will free it
 		}
 	}
 	t.state = taskFinished
 	t.qSeq = m.nextQSeq()
-	tt.commitQ.Push(t)
+	tt.commitQ.Push(t.cqKey(), t, &t.cqIdx)
 	m.releaseCore(c, t)
 }
 
@@ -947,10 +947,10 @@ func (m *Machine) releaseCore(c *cpu, t *task) {
 func (m *Machine) promoteFinishWaiters(tt *tile) {
 	for tt.finishWait.Len() > 0 &&
 		(m.cfg.UnboundedQueues || tt.commitQ.Len() < m.cfg.CommitQPerTile()) {
-		w := tt.finishWait.PopMin()
+		w := tt.finishWait.Pop()
 		w.state = taskFinished
 		w.qSeq = m.nextQSeq()
-		tt.commitQ.Push(w)
+		tt.commitQ.Push(w.cqKey(), w, &w.cqIdx)
 		m.releaseCore(m.cores[w.core], w)
 	}
 }

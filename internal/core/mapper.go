@@ -171,7 +171,7 @@ func (*stealingMapper) epoch(m *Machine) {
 		if !m.hasSpace(thief) {
 			break
 		}
-		victim.idleQ.Remove(t)
+		unqueue(&victim.idleQ, t, t.heapIdx)
 		victim.nTasks--
 		m.mesh.Send(victim.id, thief.id, noc.ClassEnqueue, noc.TaskDescBytes)
 		m.insertIdle(thief, t)

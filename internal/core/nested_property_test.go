@@ -391,20 +391,22 @@ func TestRescueOverflowGate(t *testing.T) {
 	tt := m.tiles[0]
 
 	m.rescueOverflow(tt) // empty overflow: nothing to do
-	if len(tt.overflow) != 0 || tt.idleQ.Len() != 0 {
+	if tt.overflow.Len() != 0 || tt.idleQ.Len() != 0 {
 		t.Fatal("rescue on an empty tile changed state")
 	}
 
-	tt.overflow = append(tt.overflow, guest.TaskDesc{Fn: 0, TS: 5})
+	late, early := guest.TaskDesc{Fn: 0, TS: 5}, guest.TaskDesc{Fn: 0, TS: 1}
+	tt.overflow.Push(descKey(late), late, nil)
 	m.insertIdle(tt, m.newTask(guest.TaskDesc{Fn: 0, TS: 3}, tt.id, nil))
 	m.rescueOverflow(tt)
-	if len(tt.overflow) != 1 {
+	if tt.overflow.Len() != 1 {
 		t.Fatal("rescue drained past resident earlier work")
 	}
 
-	tt.overflow[0] = guest.TaskDesc{Fn: 0, TS: 1}
+	tt.overflow.Pop()
+	tt.overflow.Push(descKey(early), early, nil)
 	m.rescueOverflow(tt)
-	if len(tt.overflow) != 0 {
+	if tt.overflow.Len() != 0 {
 		t.Fatal("rescue left a globally-earliest head in overflow")
 	}
 	if tt.idleQ.Len() != 2 {

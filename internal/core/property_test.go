@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/pq"
+	"github.com/swarm-sim/swarm/internal/vt"
 )
 
 // Property tests for the commit protocol: randomized task DAGs executed on
@@ -139,6 +141,76 @@ func (p propProgram) program(base *uint64) *Program {
 		}
 	}
 	return prog
+}
+
+// TestCommitQueueKeyMatchesVT checks that cqKey, which drops vt.Tile,
+// orders every tile's commit queue and finish-wait set exactly as
+// vt.Compare does, because each member carries its own tile's id. The
+// tasks share one timestamp and the flat path, so member pairs tie on
+// (TS, Path) and the order rests on the dispatch cycle.
+func TestCommitQueueKeyMatchesVT(t *testing.T) {
+	const n, words = 96, 8
+	var base uint64
+	prog := &Program{
+		Fns: []guest.TaskFn{
+			func(e guest.TaskEnv) {
+				a := base + e.Arg(0)%words*8
+				e.Work(20 + e.Arg(0)%7*10)
+				e.Store(a, e.Load(a)+1)
+			},
+		},
+		Setup: func(m *Machine) {
+			base = m.SetupAlloc(words * 8)
+			for i := uint64(0); i < n; i++ {
+				m.EnqueueRoot(0, 1, i)
+			}
+		},
+	}
+	var err error
+	ties := 0
+	debugCommitHook = func(m *Machine, _ *task) {
+		for _, tt := range m.tiles {
+			var members []*task
+			for _, h := range []*pq.Heap[*task]{&tt.commitQ, &tt.finishWait} {
+				for i := 0; i < h.Len(); i++ {
+					members = append(members, h.At(i))
+				}
+			}
+			for _, a := range members {
+				if int(a.vt.Tile) != tt.id && err == nil {
+					err = fmt.Errorf("tile %d queues task %v dispatched by tile %d", tt.id, a.vt, a.vt.Tile)
+				}
+				for _, b := range members {
+					ka, kb := a.cqKey(), b.cqKey()
+					if ka.Less(&kb) != (vt.Compare(a.vt, b.vt) < 0) && err == nil {
+						err = fmt.Errorf("tile %d: cqKey orders %v and %v unlike vt.Compare", tt.id, a.vt, b.vt)
+					}
+					if a != b && ka.TS == kb.TS && ka.Path == kb.Path {
+						ties++
+					}
+				}
+			}
+		}
+	}
+	defer func() { debugCommitHook = nil }()
+	m, merr := NewMachine(propConfig(1), prog)
+	if merr != nil {
+		t.Fatal(merr)
+	}
+	if _, merr := m.Run(); merr != nil {
+		t.Fatal(merr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ties == 0 {
+		t.Fatal("no two queued tasks tied on (TS, Path): the test does not exercise the cycle order")
+	}
+	for w := uint64(0); w < words; w++ {
+		if got := m.Mem().Load(base + w*8); got != n/words {
+			t.Fatalf("word %d = %d, want %d", w, got, n/words)
+		}
+	}
 }
 
 // propConfig is a deliberately tiny, contended machine: 2 tiles x 2 cores

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -71,8 +70,8 @@ func movableTasks(tt *tile, max int) []*task {
 		minDesc = minT.desc
 	}
 	var batch []*task
-	for _, e := range tt.idleQ.h {
-		t := e.t
+	for i := 0; i < tt.idleQ.Len(); i++ {
+		t := tt.idleQ.At(i)
 		if spillable(t) && descLater(t.desc, minDesc) {
 			batch = append(batch, t)
 		}
@@ -109,7 +108,7 @@ func (m *Machine) runCoalescer(c *cpu) bool {
 		if descLater(batchMin, t.desc) {
 			batchMin = t.desc
 		}
-		tt.idleQ.Remove(t)
+		unqueue(&tt.idleQ, t, t.heapIdx)
 		t.state = taskKilled
 		m.freeSlotNoDrain(t)
 	}
@@ -184,7 +183,7 @@ func (m *Machine) runSplitter(c *cpu, t *task) {
 			m.insertIdle(tt, m.newTask(d, tt.id, nil))
 		}
 		for _, d := range batch[n:] {
-			heap.Push(&tt.overflow, d)
+			tt.overflow.Push(descKey(d), d, nil)
 		}
 		m.drainOverflow(tt)
 		m.checkSpillTrigger(tt)

@@ -3,8 +3,8 @@ package core
 import (
 	"github.com/swarm-sim/swarm/internal/bloom"
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/pq"
 	"github.com/swarm-sim/swarm/internal/sim"
-	"github.com/swarm-sim/swarm/internal/tsdom"
 	"github.com/swarm-sim/swarm/internal/vt"
 )
 
@@ -94,8 +94,8 @@ type task struct {
 
 	allocToken uint64
 
-	heapIdx int    // position in the tile's order queue, -1 when not idle
-	cqIdx   int    // position in the tile's commitQ or finishWait heap, -1 otherwise
+	heapIdx int32  // position in the tile's order queue, -1 when not idle
+	cqIdx   int32  // position in the tile's commitQ or finishWait heap, -1 otherwise
 	qSeq    uint64 // order of entry into that queue (conflict-probe order)
 
 	// Way-0 index state: the tile slot id held while dispatched, and the
@@ -123,222 +123,29 @@ func (t *task) boundVT(now uint64) vt.Time {
 	return descBoundVT(t.desc.TS, t.desc.Path, now, t.tile)
 }
 
-// orderQueue is the tile's order queue (§4.2): it finds the highest-priority
-// (smallest-timestamp) idle task. The hardware uses two small TCAMs with
-// single-lookup dispatch; functionally it is a min-heap on (timestamp,
-// nested path, arrival order) supporting removal (task dispatch, spill, or
-// squash). Entries carry the timestamp and arrival order inline, so a sift
-// compares keys without dereferencing tasks; the path is consulted only
-// on a timestamp tie between tasks that have one. Tasks track their
-// position in heapIdx.
-type orderQueue struct{ h []orderEntry }
+// idleKey orders a tile's order queue (§4.2): the hardware finds the
+// highest-priority idle task with two small TCAMs; functionally it is a
+// min-heap on (timestamp, nested path, arrival order). A task's
+// descriptor and seq do not change while it is queued.
+func (t *task) idleKey() pq.Key { return pq.Key{TS: t.desc.TS, Path: t.desc.Path, Seq: t.seq} }
 
-// orderEntry is one order-queue slot: t's key, snapshotted at Push (a
-// task's descriptor and seq do not change while it is queued).
-type orderEntry struct {
-	ts, seq uint64
-	t       *task
-}
+// cqKey orders a tile's commit queue and finish-wait set (§4.2, §4.6) by
+// unique virtual time. Every member was dispatched by this tile, so its
+// vt.Tile is the tile's id and (TS, Path, Cycle) orders the members
+// exactly as vt.Compare does.
+func (t *task) cqKey() pq.Key { return pq.Key{TS: t.vt.TS, Path: t.vt.Path, Seq: t.vt.Cycle} }
 
-func (q *orderQueue) Len() int { return len(q.h) }
-
-func (q *orderQueue) Push(t *task) {
-	t.heapIdx = len(q.h)
-	q.h = append(q.h, orderEntry{ts: t.desc.TS, seq: t.seq, t: t})
-	q.up(t.heapIdx)
-}
-
-// Min returns the smallest-timestamp idle task without removing it.
-func (q *orderQueue) Min() *task {
-	if len(q.h) == 0 {
-		return nil
+// unqueue removes t from h, where i is t's recorded position.
+func unqueue(h *pq.Heap[*task], t *task, i int32) {
+	if i < 0 || int(i) >= h.Len() || h.At(int(i)) != t {
+		panic("core: removing a task from a queue it is not in")
 	}
-	return q.h[0].t
+	h.Remove(int(i))
 }
 
-// Remove deletes the task from the queue (dispatch, spill, or discard).
-func (q *orderQueue) Remove(t *task) {
-	i := t.heapIdx
-	if i < 0 {
-		return
-	}
-	n := len(q.h) - 1
-	if i != n {
-		q.swap(i, n)
-		if !q.down(i, n) {
-			q.up(i)
-		}
-	}
-	q.h[n] = orderEntry{}
-	q.h = q.h[:n]
-	t.heapIdx = -1
-}
-
-func (q *orderQueue) less(i, j int) bool {
-	a, b := &q.h[i], &q.h[j]
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if pa, pb := a.t.desc.Path, b.t.desc.Path; len(pa)|len(pb) != 0 {
-		if c := tsdom.Compare(pa, pb); c != 0 {
-			return c < 0
-		}
-	}
-	return a.seq < b.seq
-}
-
-func (q *orderQueue) swap(i, j int) {
-	q.h[i], q.h[j] = q.h[j], q.h[i]
-	q.h[i].t.heapIdx = i
-	q.h[j].t.heapIdx = j
-}
-
-func (q *orderQueue) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !q.less(j, i) {
-			return
-		}
-		q.swap(i, j)
-		j = i
-	}
-}
-
-// down sifts entry i0 down within h[:n] and reports whether it moved.
-func (q *orderQueue) down(i0, n int) bool {
-	i := i0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q.less(j2, j) {
-			j = j2
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q.swap(i, j)
-		i = j
-	}
-	return i > i0
-}
-
-// descHeap is a min-heap of task descriptors ordered by (timestamp,
-// nested path) — the memory-resident overflow buffer. The path joins the
-// key because the heap head feeds the tile's GVT bound (tileMinVT): with
-// a TS-only key a deeply-pathed head could hide an earlier-pathed
-// descriptor below it, raising the bound past work that must still run.
-type descHeap []guest.TaskDesc
-
-func (h descHeap) Len() int { return len(h) }
-func (h descHeap) Less(i, j int) bool {
-	if h[i].TS != h[j].TS {
-		return h[i].TS < h[j].TS
-	}
-	return tsdom.Less(h[i].Path, h[j].Path)
-}
-func (h descHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *descHeap) Push(x any)   { *h = append(*h, x.(guest.TaskDesc)) }
-func (h *descHeap) Pop() any {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	*h = old[:n-1]
-	return d
-}
-
-// vtHeap is an intrusive min-heap of tasks keyed by unique virtual time:
-// the tile's commit queue and finish-wait set (§4.2, §4.6). Tasks track
-// their position in cqIdx, so removal on abort is O(log n) instead of the
-// old linear slice scan, and the commit round pops ready tasks in virtual-
-// time order instead of rescanning and re-sorting every queue. Virtual
-// times are unique (§4.4), so the order is total and deterministic.
-//
-// The backing slice s is exported to callers that probe every element
-// (conflict checks, max scans); heap order is not insertion order, so
-// order-sensitive callers must re-establish it themselves (checkTile sorts
-// probe victims by qSeq).
-type vtHeap struct {
-	s []*task
-}
-
-func (h *vtHeap) Len() int { return len(h.s) }
-
-// Min returns the earliest-virtual-time task without removing it.
-func (h *vtHeap) Min() *task {
-	if len(h.s) == 0 {
-		return nil
-	}
-	return h.s[0]
-}
-
-func (h *vtHeap) Push(t *task) {
-	t.cqIdx = len(h.s)
-	h.s = append(h.s, t)
-	h.up(t.cqIdx)
-}
-
-// Remove detaches t from the heap; t must be a member.
-func (h *vtHeap) Remove(t *task) {
-	i := t.cqIdx
-	if i < 0 || i >= len(h.s) || h.s[i] != t {
-		panic("core: removing a task from a commit queue it is not in")
-	}
-	n := len(h.s) - 1
-	if i != n {
-		h.swap(i, n)
-	}
-	h.s[n] = nil
-	h.s = h.s[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
-	t.cqIdx = -1
-}
-
-// PopMin removes and returns the earliest-virtual-time task.
-func (h *vtHeap) PopMin() *task {
-	t := h.s[0]
-	h.Remove(t)
-	return t
-}
-
-func (h *vtHeap) less(i, j int) bool { return h.s[i].vt.Less(h.s[j].vt) }
-
-func (h *vtHeap) swap(i, j int) {
-	h.s[i], h.s[j] = h.s[j], h.s[i]
-	h.s[i].cqIdx = i
-	h.s[j].cqIdx = j
-}
-
-func (h *vtHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *vtHeap) down(i int) {
-	n := len(h.s)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && h.less(r, l) {
-			small = r
-		}
-		if !h.less(small, i) {
-			return
-		}
-		h.swap(i, small)
-		i = small
-	}
-}
+// descKey orders the memory-resident overflow buffer by (timestamp,
+// nested path). The path joins the key because the heap head feeds the
+// tile's GVT bound (tileMinVT): with a TS-only key a deeply-pathed head
+// could hide an earlier-pathed descriptor below it, raising the bound
+// past work that must still run.
+func descKey(d guest.TaskDesc) pq.Key { return pq.Key{TS: d.TS, Path: d.Path} }

@@ -14,11 +14,10 @@
 package oracle
 
 import (
-	"container/heap"
 	"sort"
 
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/tsdom"
+	"github.com/swarm-sim/swarm/internal/pq"
 )
 
 // BuildFn lays out guest data, registers named task functions on the build
@@ -49,39 +48,17 @@ type Profile struct {
 // Profiling executors.
 // ---------------------------------------------------------------------------
 
+// profItem is a queued task and the index of the task that created it.
 type profItem struct {
 	desc   guest.TaskDesc
-	seq    uint64
 	parent int
-}
-
-type profHeap []profItem
-
-func (h profHeap) Len() int { return len(h) }
-func (h profHeap) Less(i, j int) bool {
-	if h[i].desc.TS != h[j].desc.TS {
-		return h[i].desc.TS < h[j].desc.TS
-	}
-	if c := tsdom.Compare(h[i].desc.Path, h[j].desc.Path); c != 0 {
-		return c < 0
-	}
-	return h[i].seq < h[j].seq
-}
-func (h profHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *profHeap) Push(x any)   { *h = append(*h, x.(profItem)) }
-func (h *profHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // profEnv implements guest.TaskEnv over a host map, recording footprints.
 type profEnv struct {
 	mem   map[uint64]uint64
 	brk   uint64
-	queue profHeap
+	queue pq.Heap[profItem]
 	seq   uint64
 
 	desc   guest.TaskDesc
@@ -149,8 +126,7 @@ func (p *profEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
 // nested path verbatim (matching the machine backends).
 func (p *profEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 	p.instrs++
-	p.seq++
-	heap.Push(&p.queue, profItem{desc: guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args}, seq: p.seq, parent: p.curIdx})
+	p.push(guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args}, p.curIdx)
 }
 
 // EnqueueHinted implements guest.TaskEnv; the oracle's idealized scheduler
@@ -171,10 +147,14 @@ func (p *profEnv) Fork(fn guest.FnID, args ...uint64) {
 // serial schedule interleaves it exactly where the machines commit it.
 func (p *profEnv) EnqueueSub(fn guest.FnID, _ uint64, args [3]uint64) {
 	p.instrs++
-	p.seq++
-	d := guest.TaskDesc{Fn: fn, TS: p.desc.TS, Path: p.desc.Path.Child(p.forks), Args: args}
+	p.push(guest.TaskDesc{Fn: fn, TS: p.desc.TS, Path: p.desc.Path.Child(p.forks), Args: args}, p.curIdx)
 	p.forks++
-	heap.Push(&p.queue, profItem{desc: d, seq: p.seq, parent: p.curIdx})
+}
+
+// push queues d in (timestamp, path, creation order) order.
+func (p *profEnv) push(d guest.TaskDesc, parent int) {
+	p.seq++
+	p.queue.Push(pq.Key{TS: d.TS, Path: d.Path, Seq: p.seq}, profItem{desc: d, parent: parent}, nil)
 }
 
 func setOf(m map[uint64]struct{}) []uint64 {
@@ -195,12 +175,11 @@ func ProfileTasks(build BuildFn, maxTasks int) *Profile {
 	roots := build(b)
 	fns := b.Fns()
 	for _, d := range roots {
-		env.seq++
-		heap.Push(&env.queue, profItem{desc: d, seq: env.seq, parent: -1})
+		env.push(d, -1)
 	}
 	prof := &Profile{}
 	for env.queue.Len() > 0 {
-		it := heap.Pop(&env.queue).(profItem)
+		it := env.queue.Pop()
 		env.desc = it.desc
 		env.curIdx = len(prof.Tasks)
 		env.resetTask()

@@ -95,6 +95,29 @@ func TestTable1Shape(t *testing.T) {
 	t.Logf("msf:  max=%.0fx tls=%.2fx", maxMSF, tlsMSF)
 	t.Logf("silo: max=%.0fx instr=%.0f", pSilo.MaxParallelism(), pSilo.InstrStats().Mean)
 
+	// Exact values: the profiler's task order (its queue's pop sequence)
+	// and the analyses are deterministic, so any change to either moves
+	// these numbers.
+	for _, c := range []struct {
+		name                       string
+		tasks                      *Profile
+		tls, maxPar, tlsPar, instr float64
+	}{
+		{"sssp", pSSSP, tlsSSSP, 14.48372862658577, 1, 12.753278290432249},
+		{"msf", pMSF, tlsMSF, 8.134880928557134, 6.48361310951239, 25.26413921690491},
+		{"silo", pSilo, ProfileSerial(silo.SerialApp().Build, 0).MaxParallelism(), 86.31455961653685, 4.313092459149497, 214.26722855726325},
+	} {
+		if got := c.tasks.MaxParallelism(); got != c.maxPar {
+			t.Errorf("%s max parallelism = %v, want %v", c.name, got, c.maxPar)
+		}
+		if c.tls != c.tlsPar {
+			t.Errorf("%s serial-TLS parallelism = %v, want %v", c.name, c.tls, c.tlsPar)
+		}
+		if got := c.tasks.InstrStats().Mean; got != c.instr {
+			t.Errorf("%s mean instructions = %v, want %v", c.name, got, c.instr)
+		}
+	}
+
 	// Insight 1: parallelism is plentiful.
 	if maxSSSP < 10 {
 		t.Errorf("sssp max parallelism %.1f too low", maxSSSP)

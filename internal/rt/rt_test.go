@@ -11,6 +11,7 @@ import (
 
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/pq"
 )
 
 func testConfig(t *testing.T, cores int, backend string) core.Config {
@@ -178,7 +179,7 @@ func TestDeterministicFinalMemory(t *testing.T) {
 // phase whose full queue waits on the ready minimum still completes.
 func TestCommitQueueDispatchRule(t *testing.T) {
 	mk := func(ts, seq uint64) *task {
-		return &task{desc: guest.TaskDesc{TS: ts}, vt: vtime{ts: ts, seq: seq}}
+		return &task{desc: guest.TaskDesc{TS: ts}, vt: pq.Key{TS: ts, Seq: seq}}
 	}
 	r, err := New(testConfig(t, 4, "rt"))
 	if err != nil {
@@ -187,18 +188,19 @@ func TestCommitQueueDispatchRule(t *testing.T) {
 	s := r.sched
 	s.mu.Lock()
 	s.commitCap = 2
-	s.commitQ.push(mk(5, 1))
-	s.commitQ.push(mk(6, 2))
+	for _, c := range []*task{mk(5, 1), mk(6, 2)} {
+		s.commitQ.Push(c.vt, c, nil)
+	}
 	late := mk(5, 3) // same timestamp as the head, later sequence number
-	s.ready.push(late)
+	s.ready.Push(late.vt, late, nil)
 	if got := s.popEligibleLocked(); got != nil {
-		t.Errorf("full queue: dispatched ts=%d seq=%d, which follows the queue head", got.vt.ts, got.vt.seq)
+		t.Errorf("full queue: dispatched ts=%d seq=%d, which follows the queue head", got.vt.TS, got.vt.Seq)
 	}
 	if s.stalls != 1 {
 		t.Errorf("stalls = %d after one refused dispatch, want 1", s.stalls)
 	}
 	early := mk(4, 4)
-	s.ready.push(early)
+	s.ready.Push(early.vt, early, nil)
 	if got := s.popEligibleLocked(); got != early {
 		t.Errorf("full queue: dispatched %v, want the ready task that precedes the queue head", got)
 	}
@@ -233,12 +235,12 @@ func TestCommitQueueDispatchRule(t *testing.T) {
 		}
 		s := r.sched
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 2})
-		b := s.ready.pop()
+		b := s.ready.Pop()
 		b.env = &taskEnv{r: r, desc: b.desc}
 		if panicked, v := r.runBody(b, b.env); panicked {
 			t.Fatalf("%s: B panicked: %v", backend, v)
 		}
-		s.commitQ.push(b)
+		s.commitQ.Push(b.vt, b, nil)
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1})
 
 		done := make(chan error, 1)

@@ -5,114 +5,39 @@ import (
 	"sync"
 
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/tsdom"
+	"github.com/swarm-sim/swarm/internal/pq"
 )
 
-// vtime is a task's unique virtual time: the guest timestamp ordered
-// first, then the nested fork path (tsdom dag order, empty for flat
-// tasks), broken by a global creation sequence number — exactly like the
-// simulator's (timestamp, path, tiebreaker) virtual time (§4.2). Roots
-// take sequence numbers in setup order; children take them at their
-// parent's commit. Commits happen strictly in vtime order and children
-// inherit sequence numbers from a deterministic commit sequence, so the
-// total order — and with it the final guest memory — is independent of
-// worker interleaving.
-type vtime struct {
-	ts   uint64
-	path tsdom.Path
-	seq  uint64
-}
-
-func (a vtime) less(b vtime) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if c := tsdom.Compare(a.path, b.path); c != 0 {
-		return c < 0
-	}
-	return a.seq < b.seq
-}
-
-// task is one schedulable unit. vt is fixed at creation and survives
-// aborts; env holds the current attempt's read/write/child buffers from
-// dispatch until the attempt commits or aborts, and at is the commit
-// count when that attempt was dispatched (see validLocked).
+// task is one schedulable unit. vt is its unique virtual time: the guest
+// timestamp ordered first, then the nested fork path (tsdom dag order,
+// empty for flat tasks), broken by a global creation sequence number —
+// exactly like the simulator's (timestamp, path, tiebreaker) virtual time
+// (§4.2). Roots take sequence numbers in setup order; children take them
+// at their parent's commit. Commits happen strictly in vt order and
+// children inherit sequence numbers from a deterministic commit sequence,
+// so the total order — and with it the final guest memory — is
+// independent of worker interleaving. vt is fixed at creation and
+// survives aborts; env holds the current attempt's read/write/child
+// buffers from dispatch until the attempt commits or aborts, and at is
+// the commit count when that attempt was dispatched (see validLocked).
 type task struct {
 	desc guest.TaskDesc
-	vt   vtime
+	vt   pq.Key
 	env  *taskEnv
 	at   uint64
 }
 
-// vtHeap is a binary min-heap of tasks by vtime. Each entry carries its
-// task's key inline, so sifting compares keys without interface calls or
-// task-pointer dereferences. Keys are unique (seq breaks every tie), so
-// the pop order is the vtime order whatever the heap's shape.
-type vtHeap []heapEnt
-
-type heapEnt struct {
-	vt vtime
-	t  *task
-}
-
-func (h *vtHeap) push(t *task) {
-	*h = append(*h, heapEnt{vt: t.vt, t: t})
-	q := *h
-	i := len(q) - 1
-	e := q[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.vt.less(q[p].vt) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
-}
-
-// pop removes and returns the minimum task; the heap must be non-empty.
-func (h *vtHeap) pop() *task {
-	q := *h
-	top := q[0].t
-	n := len(q) - 1
-	e := q[n]
-	q[n] = heapEnt{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && q[r].vt.less(q[c].vt) {
-			c = r
-		}
-		if !q[c].vt.less(e.vt) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = e
-	return top
-}
-
 // sched is the software task unit + commit queue: one timestamp-ordered
 // ready heap feeding a worker per host CPU, a running set, and a bounded
-// commit queue drained strictly in vtime order — the runtime's software
+// commit queue drained strictly in vt order — the runtime's software
 // stand-in for the simulator's per-tile task units and GVT-gated commit
 // queues.
 //
 // mu guards the scheduler's mutable state and serializes dispatch,
-// commit and abort. Every write to the versioned store (a commit) happens
-// under it too, which is what lets validation read word versions without
-// the store's shard locks. Task bodies execute outside it and only read
-// the store.
+// commit and abort. Every commit writes the paged versioned store under
+// it, so the versions validation reads under mu cannot move. Task bodies
+// execute outside it and read the store lock-free (see the store doc
+// comment).
 type sched struct {
 	r  *Runtime
 	mu sync.Mutex
@@ -120,14 +45,14 @@ type sched struct {
 	// commit queue head, or the phase drains.
 	cond *sync.Cond
 
-	// ready holds runnable tasks; ready[0] is the minimum ready vtime.
-	ready vtHeap
+	// ready holds runnable tasks by vt.
+	ready pq.Heap[*task]
 	// running holds the dispatched, not-yet-finished attempts: at most
 	// one per worker, so a scan is cheaper than any ordered structure.
 	running []*task
 	// commitQ holds executed tasks awaiting their turn to validate and
-	// commit in vtime order.
-	commitQ vtHeap
+	// commit in vt order.
+	commitQ pq.Heap[*task]
 	// commitCap is the commit queue's capacity for dispatch (see
 	// popEligibleLocked); 0 lifts the bound. RunPhase sets it.
 	commitCap int
@@ -179,7 +104,7 @@ func (s *sched) abortLocked(t *task) {
 	s.aborts++
 	s.retries++
 	s.retireLocked(t)
-	s.ready.push(t)
+	s.ready.Push(t.vt, t, nil)
 	s.cond.Broadcast()
 }
 
@@ -190,20 +115,21 @@ func (s *sched) abortLocked(t *task) {
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
 	s.enqueues++
-	s.ready.push(&task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
+	t := &task{desc: d, vt: pq.Key{TS: d.TS, Path: d.Path, Seq: s.seqCtr}}
+	s.ready.Push(t.vt, t, nil)
 }
 
-// minActiveLocked returns the minimum vtime over ready and running tasks
+// minActiveLocked returns the minimum vt over ready and running tasks
 // — the bound a commit queue head must beat to be certain no earlier
 // task can still appear before it.
-func (s *sched) minActiveLocked() (vtime, bool) {
-	var best vtime
-	ok := len(s.ready) > 0
+func (s *sched) minActiveLocked() (pq.Key, bool) {
+	var best pq.Key
+	ok := s.ready.Len() > 0
 	if ok {
-		best = s.ready[0].vt
+		best = s.ready.Min().vt
 	}
 	for _, t := range s.running {
-		if !ok || t.vt.less(best) {
+		if !ok || t.vt.Less(&best) {
 			best, ok = t.vt, true
 		}
 	}
@@ -218,16 +144,16 @@ func (s *sched) minActiveLocked() (vtime, bool) {
 // full (ts, path, seq) order.
 func (s *sched) minUncommittedTSLocked() (uint64, bool) {
 	min, ok := s.minActiveLocked()
-	ts, any := min.ts, ok
-	if len(s.commitQ) > 0 {
-		if h := s.commitQ[0].vt.ts; !any || h < ts {
+	ts, any := min.TS, ok
+	if s.commitQ.Len() > 0 {
+		if h := s.commitQ.Min().vt.TS; !any || h < ts {
 			ts, any = h, true
 		}
 	}
 	return ts, any
 }
 
-// popEligibleLocked dispatches the minimum-vtime ready task, or nil if
+// popEligibleLocked dispatches the minimum-vt ready task, or nil if
 // none is runnable. Speculative mode dispatches the global ready minimum
 // regardless of what is still uncommitted; conservative mode holds tasks
 // back until their timestamp is the minimum uncommitted timestamp.
@@ -239,19 +165,20 @@ func (s *sched) minUncommittedTSLocked() (uint64, bool) {
 // phase could deadlock, with the queue full of tasks waiting on a ready
 // task that nothing may dispatch.
 func (s *sched) popEligibleLocked() *task {
-	if len(s.ready) == 0 {
+	head := s.ready.Min()
+	if head == nil {
 		return nil
 	}
 	if s.conservative {
-		if frontier, ok := s.minUncommittedTSLocked(); ok && s.ready[0].vt.ts > frontier {
+		if frontier, ok := s.minUncommittedTSLocked(); ok && head.vt.TS > frontier {
 			return nil
 		}
 	}
-	if s.commitCap > 0 && len(s.commitQ) >= s.commitCap && !s.ready[0].vt.less(s.commitQ[0].vt) {
+	if s.commitCap > 0 && s.commitQ.Len() >= s.commitCap && !head.vt.Less(&s.commitQ.Min().vt) {
 		s.stalls++
 		return nil
 	}
-	return s.ready.pop()
+	return s.ready.Pop()
 }
 
 // next blocks until it can hand the calling worker a task, with a
@@ -283,7 +210,7 @@ func (s *sched) next() *task {
 			}
 			return t
 		}
-		if len(s.ready) == 0 && len(s.running) == 0 && len(s.commitQ) == 0 {
+		if s.ready.Len() == 0 && len(s.running) == 0 && s.commitQ.Len() == 0 {
 			s.done = true
 			s.cond.Broadcast()
 			return nil
@@ -303,8 +230,8 @@ func (s *sched) stopLocked(t *task) {
 func (s *sched) finish(t *task) {
 	s.mu.Lock()
 	s.stopLocked(t)
-	s.commitQ.push(t)
-	s.peakCommitQ = max(s.peakCommitQ, uint64(len(s.commitQ)))
+	s.commitQ.Push(t.vt, t, nil)
+	s.peakCommitQ = max(s.peakCommitQ, uint64(s.commitQ.Len()))
 	s.tryCommitsLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -365,20 +292,20 @@ func (s *sched) validLocked(t *task) bool {
 }
 
 // tryCommitsLocked drains the committable prefix of the commit queue: a
-// task commits only once no ready or running task precedes it in vtime,
-// which makes the commit sequence strictly vtime-ordered — the software
+// task commits only once no ready or running task precedes it in vt,
+// which makes the commit sequence strictly vt-ordered — the software
 // equivalent of GVT-gated commit (§4.2). Validation failures abort and
 // requeue the task; since the requeued task now precedes the rest of the
 // commit queue, the drain stops and the retry runs first. The minimum-
-// vtime uncommitted task can never be invalidated while running (nothing
+// vt uncommitted task can never be invalidated while running (nothing
 // may commit under it), so every task eventually commits.
 func (s *sched) tryCommitsLocked() {
-	for len(s.commitQ) > 0 && s.err == nil {
-		head := s.commitQ[0].t
-		if min, ok := s.minActiveLocked(); ok && min.less(head.vt) {
+	for s.commitQ.Len() > 0 && s.err == nil {
+		head := s.commitQ.Min()
+		if min, ok := s.minActiveLocked(); ok && min.Less(&head.vt) {
 			return
 		}
-		s.commitQ.pop()
+		s.commitQ.Pop()
 		if !s.validLocked(head) {
 			s.abortLocked(head)
 			continue

@@ -19,7 +19,11 @@
 // in steady state.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/swarm-sim/swarm/internal/pq"
+)
 
 const (
 	wheelBits = 8
@@ -91,7 +95,10 @@ type Engine struct {
 	wheelLive int // non-cancelled events anywhere in the ring
 	buckets   [wheelSize]bucket
 
-	overflow overflowHeap // events at cycle >= base+wheelSize
+	// overflow holds the events at cycle >= base+wheelSize by
+	// (cycle, seq); each tracks its index in pos, so cancellation
+	// removes it in O(log n).
+	overflow pq.Heap[*Event]
 
 	pending int    // live scheduled events (wheel + overflow)
 	free    *Event // recycled Event structs
@@ -122,7 +129,8 @@ func (e *Engine) At(cycle uint64, fn func()) *Event {
 	if cycle < e.base+wheelSize {
 		e.wheelInsert(ev)
 	} else {
-		e.overflow.push(ev)
+		ev.loc = locHeap
+		e.overflow.Push(pq.Key{TS: cycle, Seq: ev.seq}, ev, &ev.pos)
 	}
 	return ev
 }
@@ -189,7 +197,7 @@ func (e *Engine) remove(ev *Event) {
 		b.live--
 		e.wheelLive--
 	case locHeap:
-		e.overflow.remove(int(ev.pos))
+		e.overflow.Remove(int(ev.pos))
 	}
 	e.pending--
 	e.recycle(ev)
@@ -199,12 +207,12 @@ func (e *Engine) remove(ev *Event) {
 // into their buckets, in (cycle, seq) order.
 func (e *Engine) migrate() {
 	limit := e.base + wheelSize
-	for len(e.overflow.evs) > 0 {
-		head := e.overflow.evs[0]
+	for e.overflow.Len() > 0 {
+		head := e.overflow.Min()
 		if head.cycle >= limit {
 			return
 		}
-		e.overflow.pop()
+		e.overflow.Pop()
 		e.wheelInsert(head)
 	}
 }
@@ -217,7 +225,7 @@ func (e *Engine) Step() bool {
 	// Find the next live bucket, advancing the window. If the ring is
 	// empty, jump straight to the overflow's earliest cycle.
 	if e.wheelLive == 0 {
-		e.base = e.overflow.evs[0].cycle
+		e.base = e.overflow.Min().cycle
 		e.pos = 0
 		e.migrate()
 	}
@@ -272,83 +280,5 @@ func (e *Engine) RunUntil(stop func() bool) {
 		if !e.Step() {
 			return
 		}
-	}
-}
-
-// overflowHeap is an intrusive min-heap over (cycle, seq) holding events
-// beyond the ring window. Events track their heap index in pos, so
-// cancellation removes in O(log n) without scanning.
-type overflowHeap struct {
-	evs []*Event
-}
-
-func (h *overflowHeap) less(i, j int) bool {
-	a, b := h.evs[i], h.evs[j]
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
-	}
-	return a.seq < b.seq
-}
-
-func (h *overflowHeap) swap(i, j int) {
-	h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
-	h.evs[i].pos = int32(i)
-	h.evs[j].pos = int32(j)
-}
-
-func (h *overflowHeap) push(ev *Event) {
-	ev.loc = locHeap
-	ev.pos = int32(len(h.evs))
-	h.evs = append(h.evs, ev)
-	h.up(len(h.evs) - 1)
-}
-
-func (h *overflowHeap) pop() *Event {
-	ev := h.evs[0]
-	h.remove(0)
-	return ev
-}
-
-// remove deletes the element at index i, preserving heap order.
-func (h *overflowHeap) remove(i int) {
-	n := len(h.evs) - 1
-	if i != n {
-		h.swap(i, n)
-	}
-	h.evs[n] = nil
-	h.evs = h.evs[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
-}
-
-func (h *overflowHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *overflowHeap) down(i int) {
-	n := len(h.evs)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && h.less(r, l) {
-			small = r
-		}
-		if !h.less(small, i) {
-			return
-		}
-		h.swap(i, small)
-		i = small
 	}
 }
