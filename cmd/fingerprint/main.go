@@ -1,6 +1,7 @@
 // Command fingerprint runs every registered benchmark on the Swarm machine
 // and prints a deterministic digest of the full Stats structure, one line
-// per (app, cores) cell.
+// per (app, cores) cell, followed by the cycle counts of the app's serial
+// and software-parallel baselines on the same core count.
 //
 // Its purpose is refactor verification: any change to the simulator that is
 // supposed to preserve simulated behaviour (data-structure swaps, host-side
@@ -91,26 +92,49 @@ func sortStrings(names []string) []string {
 // the cumulative digest; phased (session) apps emit one per-phase digest
 // line first, then the cumulative digest of the whole session — a change
 // that shifts work between phases while preserving totals still diffs.
+// On the simulator the cell ends with the baselines' cycle counts: one
+// serial line, and one parallel line for apps with a software-parallel
+// version.
 func cellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 	if cfg.Backend != "" && cfg.Backend != "sim" {
 		return nativeCellLines(b, nc, cfg)
 	}
+	var lines []string
 	if pb, ok := b.(bench.Phased); ok {
 		phases, err := pb.RunSwarmPhases(cfg)
 		if err != nil {
 			return nil, err
 		}
-		var lines []string
 		for _, ph := range phases {
 			lines = append(lines, phaseDigest(b.Name(), nc, len(phases), ph))
 		}
-		return append(lines, digest(b.Name(), nc, phases[len(phases)-1].Cumulative)), nil
+		lines = append(lines, digest(b.Name(), nc, phases[len(phases)-1].Cumulative))
+	} else {
+		st, err := b.RunSwarm(cfg)
+		if err != nil {
+			return nil, err
+		}
+		lines = append(lines, digest(b.Name(), nc, st))
 	}
-	st, err := b.RunSwarm(cfg)
+	return appendBaselines(lines, b, nc)
+}
+
+// appendBaselines appends the serial and (if any) software-parallel
+// cycle counts of one (app, cores) cell.
+func appendBaselines(lines []string, b bench.Benchmark, nc int) ([]string, error) {
+	cyc, err := b.RunSerial(nc)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serial: %w", err)
 	}
-	return []string{digest(b.Name(), nc, st)}, nil
+	lines = append(lines, fmt.Sprintf("%s cores=%d serial cycles=%d", b.Name(), nc, cyc))
+	if !b.HasParallel() {
+		return lines, nil
+	}
+	cyc, err = b.RunParallel(nc)
+	if err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
+	}
+	return append(lines, fmt.Sprintf("%s cores=%d parallel cycles=%d", b.Name(), nc, cyc)), nil
 }
 
 // nativeCellLines fingerprints one (app, cores) cell run on a native rt
