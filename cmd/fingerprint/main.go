@@ -110,7 +110,7 @@ func cellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 		}
 		lines = append(lines, digest(b.Name(), nc, phases[len(phases)-1].Cumulative))
 	} else {
-		st, err := b.RunSwarm(cfg)
+		st, err := bench.RunSwarm(b, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -122,15 +122,16 @@ func cellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 // appendBaselines appends the serial and (if any) software-parallel
 // cycle counts of one (app, cores) cell.
 func appendBaselines(lines []string, b bench.Benchmark, nc int) ([]string, error) {
-	cyc, err := b.RunSerial(nc)
+	cyc, err := bench.RunSerial(b, nc)
 	if err != nil {
 		return nil, fmt.Errorf("serial: %w", err)
 	}
 	lines = append(lines, fmt.Sprintf("%s cores=%d serial cycles=%d", b.Name(), nc, cyc))
-	if !b.HasParallel() {
+	p, ok := b.(bench.Parallel)
+	if !ok {
 		return lines, nil
 	}
-	cyc, err = b.RunParallel(nc)
+	cyc, err = p.RunParallel(nc)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
@@ -155,7 +156,7 @@ func nativeCellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, erro
 		}
 		return append(lines, nativeDigest(b.Name(), nc, phases[len(phases)-1].Cumulative)), nil
 	}
-	st, err := b.RunSwarm(cfg)
+	st, err := bench.RunSwarm(b, cfg)
 	if err != nil {
 		return nil, err
 	}

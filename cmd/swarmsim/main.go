@@ -89,16 +89,17 @@ func main() {
 	run := func(w io.Writer, b bench.Benchmark) error {
 		switch *impl {
 		case "serial":
-			cyc, err := b.RunSerial(*cores)
+			cyc, err := bench.RunSerial(b, *cores)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "%s serial on a %d-core machine: %d cycles (verified)\n", b.Name(), *cores, cyc)
 		case "parallel":
-			if !b.HasParallel() {
+			p, ok := b.(bench.Parallel)
+			if !ok {
 				return fmt.Errorf("%s has no software-parallel version (as in the paper)", b.Name())
 			}
-			cyc, err := b.RunParallel(*cores)
+			cyc, err := p.RunParallel(*cores)
 			if err != nil {
 				return err
 			}
@@ -127,7 +128,7 @@ func main() {
 				}
 			} else {
 				var err error
-				st, err = b.RunSwarm(cfg)
+				st, err = bench.RunSwarm(b, cfg)
 				if err != nil {
 					return err
 				}

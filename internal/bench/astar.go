@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -147,23 +145,6 @@ func (b *AStar) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *AStar) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: tuned serial A* with a binary heap keyed
-// by f, stopping when the target is settled.
-func (b *AStar) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.g.M())+2)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, pq, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, gc)
-}
-
 func (b *AStar) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
 	target := uint64(b.target)
 	tx := fixedToFloat(e.Load(gc.XAddr(target)))
@@ -210,19 +191,16 @@ func (b *AStar) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMar
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: tuned serial A* with a binary heap
+// keyed by f, stopping when the target is settled.
 func (b *AStar) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark: none, as in the paper.
-func (b *AStar) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *AStar) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("astar: no software-parallel version (parallel pathfinding sacrifices solution quality, §5)")
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestAStarSerial(t *testing.T) {
 	b := NewAStar(20, 20, 5)
-	if _, err := b.RunSerial(1); err != nil {
+	if _, err := RunSerial(b, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -16,7 +16,7 @@ func TestAStarSerial(t *testing.T) {
 func TestAStarSwarm(t *testing.T) {
 	b := NewAStar(20, 20, 5)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -28,11 +28,8 @@ func TestAStarSwarm(t *testing.T) {
 
 func TestAStarNoParallel(t *testing.T) {
 	b := NewAStar(5, 5, 1)
-	if b.HasParallel() {
+	if _, ok := any(b).(Parallel); ok {
 		t.Fatal("astar should have no software-parallel version (as in the paper)")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("expected error")
 	}
 }
 
@@ -43,7 +40,7 @@ func TestAStarPrunes(t *testing.T) {
 	b := NewAStar(30, 30, 7)
 	m := 0
 	// Count settled nodes after a serial run by re-running and counting.
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func TestAStarPrunes(t *testing.T) {
 
 func TestMSFSerial(t *testing.T) {
 	b := NewMSF(8, 8, 3)
-	if _, err := b.RunSerial(1); err != nil {
+	if _, err := RunSerial(b, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +67,7 @@ func TestMSFParallel(t *testing.T) {
 func TestMSFSwarm(t *testing.T) {
 	b := NewMSF(8, 8, 3)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -88,7 +85,7 @@ func TestMSFSwarmSpills(t *testing.T) {
 	// Enough edges to overflow the 4-core task queue (256 entries):
 	// exercises coalescers/splitters in a real benchmark.
 	b := NewMSF(10, 10, 3) // 1024 nodes, ~5120 edges
-	st, err := b.RunSwarm(core.DefaultConfig(4))
+	st, err := RunSwarm(b, core.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,17 @@
 // Package bench implements the ordered-parallelism benchmark suite: the
 // paper's six applications — bfs, sssp, astar, msf, des and silo (§2.2,
-// Table 4) — plus later workload additions (kcore, color, stream), each
-// in up to three flavors:
+// Table 4) — plus later workload additions (kcore, color, stream, ...),
+// each in up to three flavors:
 //
-//   - a tuned serial version (the Fig 12 baseline), run in direct mode;
+//   - a tuned serial version (the Fig 12 baseline), run in direct mode
+//     (SerialApp, RunSerial);
 //   - the state-of-the-art software-parallel version (PBFS, Bellman-Ford,
 //     PBBS-style deterministic reservations, Chandy-Misra-Bryant, Silo,
-//     bucket-synchronous peeling; astar and stream have none), run on the
-//     smp machine;
-//   - the Swarm version, decomposed into tiny timestamped tasks.
+//     bucket-synchronous peeling, deterministic-reservation coloring),
+//     run on the smp machine (the Parallel interface); astar, dsssp,
+//     incsssp, msort, setcover, stream and treebuild have none;
+//   - the Swarm version, decomposed into tiny timestamped tasks
+//     (SwarmApp, RunSwarm).
 //
 // All flavors operate on the same guest-memory data structures and perform
 // the same algorithmic work (§5), and every run is verified against a
@@ -26,12 +29,15 @@ import (
 	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/smp"
 )
 
-// Benchmark is one application in all of its flavors.
+// Benchmark is one application in all of its flavors. An app states each
+// flavor's algorithm once; RunSwarm, RunSerial and the optional Parallel
+// and Phased interfaces run it.
 //
 // Implementations are immutable after construction (inputs, reference
-// results) and every Run* call builds a fresh simulated machine, so a
+// results) and every run builds a fresh simulated machine, so a
 // Benchmark's methods are safe to call from concurrent host goroutines —
 // the experiment harness fans independent runs out over a worker pool.
 // Runs must also be deterministic: identical arguments always produce
@@ -40,32 +46,32 @@ import (
 type Benchmark interface {
 	// Name returns the paper's benchmark name.
 	Name() string
-	// RunSerial executes the tuned serial version on a machine sized for
-	// nCores (bigger machines have bigger caches, Fig 12) and returns
-	// elapsed cycles after verifying the result.
-	RunSerial(nCores int) (uint64, error)
-	// HasParallel reports whether a software-parallel version exists.
-	HasParallel() bool
-	// RunParallel executes the software-parallel version with one thread
-	// per core and returns elapsed cycles after verifying the result.
-	RunParallel(nCores int) (uint64, error)
-	// RunSwarm executes the Swarm version and returns its statistics
-	// after verifying the result.
-	RunSwarm(cfg core.Config) (core.Stats, error)
-	// SwarmApp exposes the machine-independent Swarm decomposition, used
-	// by the oracle analysis tool (Table 1).
+	// SwarmApp returns the machine-independent Swarm decomposition: what
+	// RunSwarm executes and the oracle analyzes (Table 1).
 	SwarmApp() SwarmApp
-	// SerialApp exposes the sequential implementation for the oracle's
-	// ideal-TLS analysis (Table 1 bottom row). The body must call
-	// iterMark at each loop-iteration boundary; work before the first
-	// mark (e.g. msf's edge sort) is prologue, excluded from the
-	// analysis.
+	// SerialApp returns the tuned serial implementation: what RunSerial
+	// executes and the oracle's ideal-TLS analysis profiles (Table 1
+	// bottom row). The body must call iterMark at each loop-iteration
+	// boundary; work before the first mark (e.g. msf's edge sort) is
+	// prologue, excluded from the analysis.
 	SerialApp() SerialApp
 }
 
-// SerialApp is a machine-independent sequential implementation.
+// Parallel is implemented by benchmarks with a state-of-the-art
+// software-parallel version.
+type Parallel interface {
+	// RunParallel executes the software-parallel version with one thread
+	// per core on the smp machine and returns elapsed cycles after
+	// verifying the result.
+	RunParallel(nCores int) (uint64, error)
+}
+
+// SerialApp is a machine-independent sequential implementation: Build
+// lays out guest memory with the setup-time primitives and returns the
+// body; Verify checks the final memory state.
 type SerialApp struct {
-	Build func(alloc func(uint64) uint64, store func(addr, val uint64)) func(e guest.Env, iterMark func())
+	Build  func(alloc func(uint64) uint64, store func(addr, val uint64)) func(e guest.Env, iterMark func())
+	Verify func(load func(addr uint64) uint64) error
 }
 
 // SwarmApp is a machine-independent Swarm program: Build lays out guest
@@ -89,8 +95,18 @@ func (app SwarmApp) Backend(cfg core.Config) (backend.Backend, error) {
 	})
 }
 
-// runSwarm builds, runs and verifies a SwarmApp on a machine config.
-func runSwarm(app SwarmApp, cfg core.Config) (core.Stats, error) {
+// RunSwarm executes b's Swarm version on a machine config and returns its
+// statistics after verifying the result. A Phased benchmark runs its
+// whole session and reports the cumulative statistics.
+func RunSwarm(b Benchmark, cfg core.Config) (core.Stats, error) {
+	if p, ok := b.(Phased); ok {
+		phases, err := p.RunSwarmPhases(cfg)
+		if err != nil {
+			return core.Stats{}, err
+		}
+		return phases[len(phases)-1].Cumulative, nil
+	}
+	app := b.SwarmApp()
 	bk, err := app.Backend(cfg)
 	if err != nil {
 		return core.Stats{}, err
@@ -107,10 +123,25 @@ func runSwarm(app SwarmApp, cfg core.Config) (core.Stats, error) {
 	return ph.Cumulative, nil
 }
 
+// RunSerial executes b's tuned serial version in direct mode on a machine
+// sized for nCores (bigger machines have bigger caches, Fig 12) and
+// returns elapsed cycles after verifying the result. A Phased benchmark
+// runs every phase (SerialPhasesApp).
+func RunSerial(b Benchmark, nCores int) (uint64, error) {
+	app := b.SerialApp()
+	if p, ok := b.(Phased); ok {
+		app = p.SerialPhasesApp()
+	}
+	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
+	body := app.Build(m.SetupAlloc, m.Mem().Store)
+	cycles := m.Run(func(e guest.Env) { body(e, func() {}) })
+	return cycles, app.Verify(m.Mem().Load)
+}
+
 // Phased is implemented by benchmarks that execute as multi-phase sessions:
 // run to quiescence, mutate inputs, inject new roots, run again. RunSwarm
-// on such a benchmark reports the cumulative Stats of the whole session;
-// RunSwarmPhases exposes the per-phase breakdown.
+// and RunSerial on such a benchmark cover the whole session; SwarmApp and
+// SerialApp cover phase 1 only (what the oracle analyzes).
 type Phased interface {
 	Benchmark
 	// PhaseCount returns the number of quiescent phases a run executes.
@@ -118,6 +149,10 @@ type Phased interface {
 	// RunSwarmPhases executes the session and returns one PhaseStats per
 	// phase, each verified against the benchmark's per-phase reference.
 	RunSwarmPhases(cfg core.Config) ([]core.PhaseStats, error)
+	// SerialPhasesApp returns the serial baseline of the whole session:
+	// every phase in one run, verified against the final phase's
+	// reference.
+	SerialPhasesApp() SerialApp
 }
 
 // Session is a live phased run: a warm simulated machine parked at a
@@ -188,37 +223,4 @@ type Sessioned interface {
 	// OpenSession builds the machine (laying out guest memory and
 	// enqueueing the initial roots) and parks it before phase 1.
 	OpenSession(cfg core.Config) (*Session, error)
-}
-
-// spawnRange fans a [lo, hi) index range out as tasks with function
-// edgeFn(ts(i), i), using a tree of spawner tasks to respect the 8-child
-// hardware limit (§4.1: tasks that need more children enqueue tasks that
-// create them). Spawners run at the parent's timestamp.
-//
-// The caller provides the spawner's own function id so spawners can
-// re-enqueue themselves (the function table must map spawnFn to a task
-// that calls SpawnRangeTask).
-const spawnFanout = 8
-
-// spawnRangeTask is the body shared by range-spawner tasks: it either
-// enqueues leaf tasks directly (small ranges) or splits the range among up
-// to spawnFanout sub-spawners.
-func spawnRangeTask(e guest.TaskEnv, spawnFn guest.FnID, enqueueLeaf func(e guest.TaskEnv, i uint64)) {
-	lo, hi := e.Arg(0), e.Arg(1)
-	n := hi - lo
-	e.Work(4)
-	if n <= spawnFanout {
-		for i := lo; i < hi; i++ {
-			enqueueLeaf(e, i)
-		}
-		return
-	}
-	chunk := (n + spawnFanout - 1) / spawnFanout
-	for s := lo; s < hi; s += chunk {
-		end := s + chunk
-		if end > hi {
-			end = hi
-		}
-		e.EnqueueArgs(spawnFn, e.Timestamp(), [3]uint64{s, end})
-	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
@@ -102,23 +101,6 @@ func (b *BFS) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *BFS) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: the tuned serial bfs needs no priority
-// queue — an efficient FIFO holds the frontier (§6.2).
-func (b *BFS) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	q := swrt.NewFIFO(m.SetupAlloc, uint64(b.g.N)+1)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, q, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, gc)
-}
-
 // serialBody is the serial algorithm; iterMark flags iteration boundaries
 // for the oracle's TLS analysis.
 func (b *BFS) serialBody(e guest.Env, gc graph.GuestCSR, q swrt.FIFO, iterMark func()) {
@@ -145,19 +127,21 @@ func (b *BFS) serialBody(e guest.Env, gc graph.GuestCSR, q swrt.FIFO, iterMark f
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: the tuned serial bfs needs no priority
+// queue — an efficient FIFO holds the frontier (§6.2).
 func (b *BFS) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		q := swrt.NewFIFO(alloc, uint64(b.g.N)+1)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, q, mark) }
-	}}
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			q := swrt.NewFIFO(alloc, uint64(b.g.N)+1)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, q, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+	}
 }
 
-// HasParallel implements Benchmark.
-func (b *BFS) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: a PBFS-style level-synchronous
+// RunParallel implements Parallel: a PBFS-style level-synchronous
 // parallel BFS — threads share the current frontier, build the next one
 // with atomic appends, and barrier between levels. It only exposes
 // one level of parallelism at a time (§6.2).

@@ -8,7 +8,7 @@ import (
 
 func TestBFSSerial(t *testing.T) {
 	b := NewBFS(20, 15)
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBFSParallel(t *testing.T) {
 func TestBFSSwarm(t *testing.T) {
 	b := NewBFS(20, 15)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -41,7 +41,7 @@ func TestBFSSwarm(t *testing.T) {
 
 func TestSSSPSerial(t *testing.T) {
 	b := NewSSSP(15, 15, 11)
-	if _, err := b.RunSerial(1); err != nil {
+	if _, err := RunSerial(b, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +58,7 @@ func TestSSSPParallel(t *testing.T) {
 func TestSSSPSwarm(t *testing.T) {
 	b := NewSSSP(15, 15, 11)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -76,11 +76,11 @@ func TestSwarmSpeedupShape(t *testing.T) {
 		t.Skip("scaling test")
 	}
 	b := NewSSSP(40, 40, 3)
-	st1, err := b.RunSwarm(core.DefaultConfig(1))
+	st1, err := RunSwarm(b, core.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st16, err := b.RunSwarm(core.DefaultConfig(16))
+	st16, err := RunSwarm(b, core.DefaultConfig(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBFSSwarmVsParallelShape(t *testing.T) {
 	}
 	// Deep, narrow mesh: level-synchronous PBFS has tiny frontiers.
 	b := NewBFS(150, 6)
-	serial, err := b.RunSerial(16)
+	serial, err := RunSerial(b, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestBFSSwarmVsParallelShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := b.RunSwarm(core.DefaultConfig(16))
+	sw, err := RunSwarm(b, core.DefaultConfig(16))
 	if err != nil {
 		t.Fatal(err)
 	}

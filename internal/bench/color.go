@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -234,21 +233,6 @@ func (b *Color) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *Color) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: greedy in rank order.
-func (b *Color) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, g, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, g)
-}
-
 func (b *Color) serialBody(e guest.Env, g guestColor, iterMark func()) {
 	n := uint64(b.g.N)
 	mask := make([]uint64, b.words) // direct mode: iterations never interleave
@@ -260,18 +244,19 @@ func (b *Color) serialBody(e guest.Env, g guestColor, iterMark func()) {
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: greedy in rank order.
 func (b *Color) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		g := b.pack(alloc, store)
-		return func(e guest.Env, mark func()) { b.serialBody(e, g, mark) }
-	}}
+	var g guestColor
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			g = b.pack(alloc, store)
+			return func(e guest.Env, mark func()) { b.serialBody(e, g, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
+	}
 }
 
-// HasParallel implements Benchmark.
-func (b *Color) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: PBBS-style deterministic rounds
+// RunParallel implements Parallel: PBBS-style deterministic rounds
 // (speculative_for over the rank order). Each round every remaining
 // vertex whose earlier-ranked neighbors are all colored takes its greedy
 // color; the rest retry next round. The result equals sequential

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/swarm-sim/swarm/internal/circuit"
-	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
@@ -183,7 +183,7 @@ func (b *DES) SwarmApp() SwarmApp {
 		}
 
 		spawn = ab.Fn("spawn", func(e guest.TaskEnv) {
-			spawnRangeTask(e, spawn, func(e guest.TaskEnv, i uint64) {
+			frontier.SpawnRange(e, spawn, func(e guest.TaskEnv, i uint64) {
 				// Spatial hint: the input id, stable across rounds.
 				e.EnqueueHinted(input, e.Timestamp(), i, [3]uint64{i})
 			})
@@ -225,27 +225,6 @@ func (b *DES) SwarmApp() SwarmApp {
 	}
 	app.Verify = func(load func(uint64) uint64) error { return b.verify(load, g) }
 	return app
-}
-
-// RunSwarm implements Benchmark.
-func (b *DES) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: the classic sequential event-driven
-// simulator — a binary heap of (time, gate) events processed in time order.
-func (b *DES) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates
-	pq := swrt.NewHeap(m.SetupAlloc, heapCap)
-	period := b.stim.Period
-	rounds := uint64(b.stim.Rounds)
-
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, g, pq, period, rounds, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, g)
 }
 
 // Event encoding in heaps: value = gate id, or (inputFlag | input index)
@@ -297,22 +276,25 @@ func (b *DES) serialBody(e guest.Env, g guestDES, pq swrt.Heap, period, rounds u
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: the classic sequential event-driven
+// simulator — a binary heap of (time, gate) events processed in time
+// order.
 func (b *DES) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		g := b.pack(alloc, store)
-		heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates
-		pq := swrt.NewHeap(alloc, heapCap)
-		return func(e guest.Env, mark func()) {
-			b.serialBody(e, g, pq, b.stim.Period, uint64(b.stim.Rounds), mark)
-		}
-	}}
+	var g guestDES
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			g = b.pack(alloc, store)
+			heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates
+			pq := swrt.NewHeap(alloc, heapCap)
+			return func(e guest.Env, mark func()) {
+				b.serialBody(e, g, pq, b.stim.Period, uint64(b.stim.Rounds), mark)
+			}
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
+	}
 }
 
-// HasParallel implements Benchmark.
-func (b *DES) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: a conservative (Chandy-Misra-Bryant
+// RunParallel implements Parallel: a conservative (Chandy-Misra-Bryant
 // family) parallel simulator. Gates are partitioned across threads (whole
 // adders stay together); each thread keeps a local event queue and an
 // inbox for cross-partition events; rounds process every event inside the

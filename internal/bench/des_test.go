@@ -10,7 +10,7 @@ func testDES() *DES { return NewDES(4, 8, 3, 21) }
 
 func TestDESSerial(t *testing.T) {
 	b := testDES()
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestDESParallel(t *testing.T) {
 func TestDESSwarm(t *testing.T) {
 	b := testDES()
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -46,11 +46,11 @@ func TestDESSwarmScales(t *testing.T) {
 		t.Skip("scaling test")
 	}
 	b := NewDES(8, 8, 4, 5)
-	st1, err := b.RunSwarm(core.DefaultConfig(1))
+	st1, err := RunSwarm(b, core.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st16, err := b.RunSwarm(core.DefaultConfig(16))
+	st16, err := RunSwarm(b, core.DefaultConfig(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -129,11 +127,6 @@ func (b *DSSSP) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *DSSSP) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // verifySerial checks the serial flavor's distances (kept in the packed
 // CSR's Dist array) against host Dijkstra.
 func (b *DSSSP) verifySerial(load func(uint64) uint64, gc graph.GuestCSR) error {
@@ -143,19 +136,6 @@ func (b *DSSSP) verifySerial(load func(uint64) uint64, gc graph.GuestCSR) error 
 		}
 	}
 	return nil
-}
-
-// RunSerial implements Benchmark: sequential Dijkstra with a binary-heap
-// priority queue — the serial optimum delta-stepping degenerates to, and
-// the baseline its speedups are quoted against.
-func (b *DSSSP) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.g.M())+2)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, pq, func() {})
-	})
-	return cycles, b.verifySerial(m.Mem().Load, gc)
 }
 
 func (b *DSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
@@ -185,20 +165,17 @@ func (b *DSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMar
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: sequential Dijkstra with a binary-heap
+// priority queue — the serial optimum delta-stepping degenerates to, and
+// the baseline its speedups are quoted against.
 func (b *DSSSP) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark. (The software-parallel label-correcting
-// comparison already exists in the suite: sssp's Bellman-Ford baseline.)
-func (b *DSSSP) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *DSSSP) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("dsssp has no software-parallel version")
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verifySerial(load, gc) },
+	}
 }

@@ -28,22 +28,21 @@ func TestForkJoinScales(t *testing.T) {
 	}
 }
 
-// TestForkJoinSerialApp: the oracle-facing SerialApp flavor runs the same
-// serial bodies the RunSerial entry points use; drive both through a
-// fresh serial machine and verify against the host references.
+// TestForkJoinSerialApp: the SerialApp flavor that RunSerial runs and the
+// oracle profiles marks loop iterations and passes its own verifier when
+// driven on a fresh serial machine.
 func TestForkJoinSerialApp(t *testing.T) {
-	ms := NewMSort(64, 8)
-	m := smp.NewSerialMachine(smp.DefaultConfig(1))
-	body := ms.SerialApp().Build(m.SetupAlloc, m.Mem().Store)
-	if cyc := m.Run(func(e guest.Env) { body(e, func() {}) }); cyc == 0 {
-		t.Fatal("msort SerialApp: no cycles")
-	}
-
-	tb := NewTreeBuild(64, 2)
-	m = smp.NewSerialMachine(smp.DefaultConfig(1))
-	body = tb.SerialApp().Build(m.SetupAlloc, m.Mem().Store)
-	if cyc := m.Run(func(e guest.Env) { body(e, func() {}) }); cyc == 0 {
-		t.Fatal("treebuild SerialApp: no cycles")
+	for _, b := range []Benchmark{NewMSort(64, 8), NewTreeBuild(64, 2)} {
+		app := b.SerialApp()
+		m := smp.NewSerialMachine(smp.DefaultConfig(1))
+		body := app.Build(m.SetupAlloc, m.Mem().Store)
+		marks := 0
+		if cyc := m.Run(func(e guest.Env) { body(e, func() { marks++ }) }); cyc == 0 || marks == 0 {
+			t.Fatalf("%s SerialApp: %d cycles, %d iteration marks", b.Name(), cyc, marks)
+		}
+		if err := app.Verify(m.Mem().Load); err != nil {
+			t.Fatalf("%s SerialApp: %v", b.Name(), err)
+		}
 	}
 }
 
@@ -67,7 +66,7 @@ func TestForkJoinVerifyRejects(t *testing.T) {
 
 func TestMSortSerial(t *testing.T) {
 	b := NewMSort(64, 8)
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestMSortSerial(t *testing.T) {
 func TestMSortSwarm(t *testing.T) {
 	b := NewMSort(64, 8)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -122,11 +121,8 @@ func TestMSortReference(t *testing.T) {
 // software-threaded flavor would just be sort.Slice.
 func TestMSortNoParallel(t *testing.T) {
 	b := NewMSort(64, 8)
-	if b.HasParallel() {
+	if _, ok := any(b).(Parallel); ok {
 		t.Fatal("msort should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
 	}
 }
 
@@ -134,7 +130,7 @@ func TestMSortNoParallel(t *testing.T) {
 
 func TestTreeBuildSerial(t *testing.T) {
 	b := NewTreeBuild(64, 2)
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +142,7 @@ func TestTreeBuildSerial(t *testing.T) {
 func TestTreeBuildSwarm(t *testing.T) {
 	b := NewTreeBuild(64, 2)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -199,10 +195,7 @@ func TestTreeBuildReferenceIsSearchTree(t *testing.T) {
 
 func TestTreeBuildNoParallel(t *testing.T) {
 	b := NewTreeBuild(64, 2)
-	if b.HasParallel() {
+	if _, ok := any(b).(Parallel); ok {
 		t.Fatal("treebuild should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
 	}
 }

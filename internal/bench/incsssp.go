@@ -7,7 +7,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -239,37 +238,10 @@ func (b *IncSSSP) RunSwarmPhases(cfg core.Config) ([]core.PhaseStats, error) {
 	return s.Phases(), nil
 }
 
-// RunSwarm implements Benchmark: the whole session's cumulative
-// statistics (the final phase's Cumulative).
-func (b *IncSSSP) RunSwarm(cfg core.Config) (core.Stats, error) {
-	phases, err := b.RunSwarmPhases(cfg)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	return phases[len(phases)-1].Cumulative, nil
-}
-
-// RunSerial implements Benchmark: the tuned serial incremental SSSP — an
-// initial lazy-deletion Dijkstra, then per batch a seeded re-relaxation
-// from the updated arcs' heads, all on one machine so later phases run
-// against warm caches, mirroring the session. The serial version pays for
-// applying the updates in guest stores (a few cycles against thousands of
-// relaxations).
-func (b *IncSSSP) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	capacity := uint64(b.g.M())*uint64(b.PhaseCount()) + 64
-	pq := swrt.NewHeap(m.SetupAlloc, capacity)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, pq, func() {}, true)
-	})
-	return cycles, b.verifyPhase(m.Mem().Load, gc, len(b.refs)-1)
-}
-
-// serialBody runs the full incremental computation. When phased is false
-// it runs only the initial solve (the oracle's TLS analysis profiles the
-// from-scratch algorithm, matching SwarmApp).
-func (b *IncSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func(), phased bool) {
+// serialBody runs the initial solve, then applies each of batches and
+// re-relaxes. The oracle's TLS analysis passes no batches: it profiles
+// the from-scratch algorithm, matching SwarmApp.
+func (b *IncSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func(), batches [][]incUpdate) {
 	// relaxLoop drains the queue with lazy deletion: pop (d, u); settle
 	// only if d still improves dist[u].
 	relaxLoop := func() {
@@ -299,10 +271,7 @@ func (b *IncSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterM
 	}
 	pq.Push(e, 0, uint64(b.src))
 	relaxLoop()
-	if !phased {
-		return
-	}
-	for _, batch := range b.batches {
+	for _, batch := range batches {
 		for _, u := range batch {
 			e.Store(gc.WAddr(u.arc), u.newW)
 			du := e.Load(gc.DistAddr(u.src))
@@ -320,19 +289,25 @@ func (b *IncSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterM
 
 // SerialApp implements Benchmark: the initial solve, sliced at
 // relaxation-loop iterations (matching SwarmApp's phase-1 scope).
-func (b *IncSSSP) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+64)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark, false) }
-	}}
-}
+func (b *IncSSSP) SerialApp() SerialApp { return b.serialApp(1) }
 
-// HasParallel implements Benchmark: like astar and stream, there is no
-// state-of-the-art software-parallel incremental SSSP baseline here.
-func (b *IncSSSP) HasParallel() bool { return false }
+// SerialPhasesApp implements Phased: the tuned serial incremental SSSP —
+// an initial lazy-deletion Dijkstra, then per batch a seeded
+// re-relaxation from the updated arcs' heads, all on one machine so later
+// phases run against warm caches, mirroring the session. The serial
+// version pays for applying the updates in guest stores (a few cycles
+// against thousands of relaxations).
+func (b *IncSSSP) SerialPhasesApp() SerialApp { return b.serialApp(b.PhaseCount()) }
 
-// RunParallel implements Benchmark.
-func (b *IncSSSP) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("incsssp has no software-parallel version")
+// serialApp runs the first phases phases and verifies the last of them.
+func (b *IncSSSP) serialApp(phases int) SerialApp {
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())*uint64(phases)+64)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark, b.batches[:phases-1]) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verifyPhase(load, gc, phases-1) },
+	}
 }

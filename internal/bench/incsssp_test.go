@@ -53,7 +53,7 @@ func TestIncSSSPPhases(t *testing.T) {
 // Dijkstra distances (verification inside RunSerial).
 func TestIncSSSPSerial(t *testing.T) {
 	b := NewIncSSSP(10, 10, 2, 5, 3)
-	cyc, err := b.RunSerial(4)
+	cyc, err := RunSerial(b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestIncSSSPDeterministicPhases(t *testing.T) {
 // result.
 func TestIncSSSPSwarmMatchesPhases(t *testing.T) {
 	b := NewIncSSSP(8, 8, 2, 4, 7)
-	st, err := b.RunSwarm(core.DefaultConfig(4))
+	st, err := RunSwarm(b, core.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

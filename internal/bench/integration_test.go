@@ -17,7 +17,7 @@ func fullSuite() []Benchmark {
 // executing tasks that are ultimately committed").
 func TestStatsAccounting(t *testing.T) {
 	for _, b := range fullSuite() {
-		st, err := b.RunSwarm(core.DefaultConfig(8))
+		st, err := RunSwarm(b, core.DefaultConfig(8))
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
@@ -51,13 +51,13 @@ func TestSeedChangesPlacementNotResults(t *testing.T) {
 	b := NewSSSP(16, 16, 3)
 	cfg1 := core.DefaultConfig(8)
 	cfg1.Seed = 1
-	st1, err := b.RunSwarm(cfg1) // verification inside
+	st1, err := RunSwarm(b, cfg1) // verification inside
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := core.DefaultConfig(8)
 	cfg2.Seed = 999
-	st2, err := b.RunSwarm(cfg2)
+	st2, err := RunSwarm(b, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAllAppsAtOddMachineSizes(t *testing.T) {
 	}
 	for _, cores := range []int{1, 2, 12, 20} {
 		b := NewSSSP(12, 12, 3)
-		if _, err := b.RunSwarm(core.DefaultConfig(cores)); err != nil {
+		if _, err := RunSwarm(b, core.DefaultConfig(cores)); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}

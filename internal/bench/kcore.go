@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -136,7 +135,7 @@ func (b *KCore) SwarmApp() SwarmApp {
 		// hubs have hundreds of neighbors, far past the 8-child hardware
 		// limit (§4.1), so removals chain spawner tasks at their level.
 		relaxArcs := func(e guest.TaskEnv, lo, hi uint64) {
-			end := lo + spawnFanout - 1
+			end := lo + frontier.Fanout - 1
 			if end > hi {
 				end = hi
 			}
@@ -180,23 +179,6 @@ func (b *KCore) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *KCore) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: tuned serial Matula–Beck peeling over
-// the swrt.Buckets degree structure (O(1) decrease-key, O(n+m) total).
-func (b *KCore) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	bk := b.buckets(m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, bk, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, gc)
-}
-
 // buckets builds the serial peel's degree-bucket scheduler.
 func (b *KCore) buckets(alloc func(uint64) uint64, store func(addr, val uint64)) swrt.Buckets {
 	bk := swrt.NewBuckets(alloc, uint64(b.g.N), b.maxDeg)
@@ -237,19 +219,21 @@ func (b *KCore) serialBody(e guest.Env, gc graph.GuestCSR, bk swrt.Buckets, iter
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: tuned serial Matula–Beck peeling over
+// the swrt.Buckets degree structure (O(1) decrease-key, O(n+m) total).
 func (b *KCore) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		bk := b.buckets(alloc, store)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, bk, mark) }
-	}}
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			bk := b.buckets(alloc, store)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, bk, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+	}
 }
 
-// HasParallel implements Benchmark.
-func (b *KCore) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: bucket-synchronous peeling (the
+// RunParallel implements Parallel: bucket-synchronous peeling (the
 // Julienne-style software-parallel baseline). Levels k = 0, 1, ... are
 // processed in order; the vertex range is scanned once per level to seed
 // that level's frontier, and from there sub-rounds are neighbor-driven:

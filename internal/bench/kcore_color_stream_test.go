@@ -11,7 +11,7 @@ import (
 
 func TestKCoreSerial(t *testing.T) {
 	b := NewKCore(6, 6, 9)
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestKCoreParallel(t *testing.T) {
 func TestKCoreSwarm(t *testing.T) {
 	b := NewKCore(6, 6, 9)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -73,7 +73,7 @@ func TestKCoreReferenceMatchesPeeling(t *testing.T) {
 
 func TestColorSerial(t *testing.T) {
 	b := NewColor(80, 320, 11)
-	if _, err := b.RunSerial(1); err != nil {
+	if _, err := RunSerial(b, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +90,7 @@ func TestColorParallel(t *testing.T) {
 func TestColorSwarm(t *testing.T) {
 	b := NewColor(80, 320, 11)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -118,7 +118,7 @@ func TestColorReferenceIsProper(t *testing.T) {
 
 func TestStreamSerial(t *testing.T) {
 	b := NewStream(4, 40, 32, 8, 13)
-	if _, err := b.RunSerial(1); err != nil {
+	if _, err := RunSerial(b, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +126,7 @@ func TestStreamSerial(t *testing.T) {
 func TestStreamSwarm(t *testing.T) {
 	b := NewStream(4, 40, 32, 8, 13)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -140,11 +140,8 @@ func TestStreamSwarm(t *testing.T) {
 // astar in the paper.
 func TestStreamNoParallel(t *testing.T) {
 	b := NewStream(2, 10, 32, 4, 13)
-	if b.HasParallel() {
+	if _, ok := any(b).(Parallel); ok {
 		t.Fatal("stream should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
 	}
 }
 
@@ -181,9 +178,9 @@ func TestRegistryOrder(t *testing.T) {
 	}
 }
 
-// TestRegistryMetadata: HasParallel metadata must agree with the
-// constructed Benchmark, and every app must build at tiny scale under the
-// name it was registered with.
+// TestRegistryMetadata: HasParallel metadata must agree with whether the
+// constructed Benchmark implements Parallel, and every app must build at
+// tiny scale under the name it was registered with.
 func TestRegistryMetadata(t *testing.T) {
 	for _, meta := range Apps() {
 		b, err := New(meta.Name, ScaleTiny)
@@ -193,8 +190,8 @@ func TestRegistryMetadata(t *testing.T) {
 		if b.Name() != meta.Name {
 			t.Errorf("%s: Benchmark.Name() = %q", meta.Name, b.Name())
 		}
-		if b.HasParallel() != meta.HasParallel {
-			t.Errorf("%s: HasParallel metadata %v, Benchmark says %v", meta.Name, meta.HasParallel, b.HasParallel())
+		if _, ok := b.(Parallel); ok != meta.HasParallel {
+			t.Errorf("%s: HasParallel metadata %v, implements Parallel %v", meta.Name, meta.HasParallel, ok)
 		}
 	}
 }

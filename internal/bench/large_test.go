@@ -25,7 +25,7 @@ func TestLargeScaleSmoke(t *testing.T) {
 			}
 			cfg := core.DefaultConfig(16)
 			cfg.Backend = "rt"
-			st, err := b.RunSwarm(cfg)
+			st, err := RunSwarm(b, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ func TestAllAppsUnderAllMappers(t *testing.T) {
 		for _, mp := range core.MapperNames() {
 			cfg := core.DefaultConfig(16)
 			cfg.Mapper = mp
-			st1, err := b.RunSwarm(cfg)
+			st1, err := RunSwarm(b, cfg)
 			if err != nil {
 				t.Fatalf("%s mapper=%s: %v", name, mp, err)
 			}
@@ -35,7 +35,7 @@ func TestAllAppsUnderAllMappers(t *testing.T) {
 				t.Fatalf("%s mapper=%s stole %d tasks", name, mp, st1.StolenTasks)
 			}
 			sawSteals = sawSteals || st1.StolenTasks > 0
-			st2, err := b.RunSwarm(cfg)
+			st2, err := RunSwarm(b, cfg)
 			if err != nil {
 				t.Fatalf("%s mapper=%s rerun: %v", name, mp, err)
 			}

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
@@ -106,7 +106,7 @@ func (b *MSF) SwarmApp() SwarmApp {
 		g = b.pack(ab.Alloc, ab.Store)
 		var spawn, edge guest.FnID
 		spawn = ab.Fn("spawn", func(e guest.TaskEnv) {
-			spawnRangeTask(e, spawn, func(e guest.TaskEnv, i uint64) {
+			frontier.SpawnRange(e, spawn, func(e guest.TaskEnv, i uint64) {
 				w := e.Load(g.ew.Addr(i))
 				// Spatial hint: the edge-array block — eight consecutive
 				// edge tasks share the eu/ev/ew/inMSF cache lines, so
@@ -129,24 +129,6 @@ func (b *MSF) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *MSF) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: tuned serial Kruskal — counting sort by
-// weight (weights are bytes), then an in-order union-find scan.
-func (b *MSF) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	hist := swrt.NewArray(m.SetupAlloc, 257)
-	sorted := swrt.NewArray(m.SetupAlloc, g.m) // edge indices, weight-sorted
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, g, hist, sorted, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, g)
-}
-
 // serialBody sorts then scans; iterMark brackets the Kruskal loop
 // iterations (the sort is prologue — the paper analyzes the edge loop,
 // whose iteration order matches task order, §3).
@@ -164,14 +146,19 @@ func (b *MSF) serialBody(e guest.Env, g guestMSF, hist, sorted swrt.Array, iterM
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: tuned serial Kruskal — counting sort by
+// weight (weights are bytes), then an in-order union-find scan.
 func (b *MSF) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		g := b.pack(alloc, store)
-		hist := swrt.NewArray(alloc, 257)
-		sorted := swrt.NewArray(alloc, g.m)
-		return func(e guest.Env, mark func()) { b.serialBody(e, g, hist, sorted, mark) }
-	}}
+	var g guestMSF
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			g = b.pack(alloc, store)
+			hist := swrt.NewArray(alloc, 257)
+			sorted := swrt.NewArray(alloc, g.m) // edge indices, weight-sorted
+			return func(e guest.Env, mark func()) { b.serialBody(e, g, hist, sorted, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
+	}
 }
 
 // serialSort counting-sorts edge indices by weight into sorted.
@@ -195,10 +182,7 @@ func (b *MSF) serialSort(e guest.Env, g guestMSF, hist, sorted swrt.Array) {
 	}
 }
 
-// HasParallel implements Benchmark.
-func (b *MSF) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: parallel counting sort by weight, then
+// RunParallel implements Parallel: parallel counting sort by weight, then
 // rounds of PBBS-style deterministic reservations — each round, active
 // edges reserve both endpoint roots with their (weight-ordered) index;
 // winners of both reservations commit their union, losers retry next

@@ -33,7 +33,7 @@ func TestSiloSwarmSeeds(t *testing.T) {
 		cfg := core.DefaultConfig(8)
 		cfg.TaskQPerCore = 16
 		cfg.CommitQPerCore = 4
-		if _, err := b.RunSwarm(cfg); err != nil {
+		if _, err := RunSwarm(b, cfg); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -54,7 +54,7 @@ type AppMeta struct {
 	// Summary is a one-line description for CLI usage strings and docs.
 	Summary string
 	// HasParallel reports whether a software-parallel version exists
-	// (mirrors Benchmark.HasParallel).
+	// (whether the Benchmark implements Parallel).
 	HasParallel bool
 	// Phased reports whether the app is a multi-phase session workload
 	// (implements the Phased interface), so API consumers — swarmd's

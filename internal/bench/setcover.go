@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -254,11 +252,6 @@ func (b *SetCover) verify(load func(uint64) uint64, state func(v uint64) (decide
 	return nil
 }
 
-// RunSwarm implements Benchmark.
-func (b *SetCover) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // serialState is the serial flavor's guest layout.
 type serialState struct {
 	gc      graph.GuestCSR
@@ -285,24 +278,18 @@ func (b *SetCover) buildSerial(alloc func(uint64) uint64, store func(addr, val u
 	return st
 }
 
-// RunSerial implements Benchmark: the lazy-greedy loop over a guest
+// SerialApp implements Benchmark: the lazy-greedy loop over a guest
 // binary heap — pop the minimum priority, recount, reinsert if stale,
 // else decide.
-func (b *SetCover) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	st := b.buildSerial(m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, st, func() {})
-	})
-	return cycles, b.serialVerify(m.Mem().Load, st)
-}
-
-// SerialApp implements Benchmark.
 func (b *SetCover) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		st := b.buildSerial(alloc, store)
-		return func(e guest.Env, mark func()) { b.serialBody(e, st, mark) }
-	}}
+	var st serialState
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			st = b.buildSerial(alloc, store)
+			return func(e guest.Env, mark func()) { b.serialBody(e, st, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.serialVerify(load, st) },
+	}
 }
 
 func (b *SetCover) serialBody(e guest.Env, st serialState, iterMark func()) {
@@ -364,12 +351,4 @@ func (b *SetCover) serialVerify(load func(uint64) uint64, st serialState) error 
 		}
 		return 0, d, load(st.covered.Addr(v))
 	})
-}
-
-// HasParallel implements Benchmark.
-func (b *SetCover) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *SetCover) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("setcover has no software-parallel version")
 }

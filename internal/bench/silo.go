@@ -4,7 +4,7 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/tpcc"
@@ -67,18 +67,6 @@ func (b *Silo) reference() func(addr uint64) uint64 {
 // tsBits is the per-transaction timestamp range (tasks of txn i use
 // timestamps [i<<tsBits, (i+1)<<tsBits)).
 const tsBits = 6
-
-// RunSerial implements Benchmark.
-func (b *Silo) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	l := tpcc.Pack(b.sc, b.txns, m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		for i := range b.txns {
-			tpcc.ExecTxn(e, l, uint64(i))
-		}
-	})
-	return cycles, l.CompareExact(m.Mem().Load, b.reference())
-}
 
 // ---------------------------------------------------------------- Swarm --
 
@@ -157,7 +145,7 @@ func (b *Silo) SwarmApp() SwarmApp {
 
 		fns := make([]guest.TaskFn, siloNumFns)
 		fns[siloSpawn] = func(e guest.TaskEnv) {
-			spawnRangeTask(e, siloSpawn, func(e guest.TaskEnv, i uint64) {
+			frontier.SpawnRange(e, siloSpawn, func(e guest.TaskEnv, i uint64) {
 				e.EnqueueHinted(siloTxnRoot, i<<tsBits, hintTxn(i), [3]uint64{i})
 			})
 		}
@@ -477,31 +465,27 @@ func (b *Silo) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *Silo) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // SerialApp implements Benchmark: iterations are whole transactions —
 // which is exactly why ideal TLS underperforms Swarm on silo (Table 1:
 // 45x vs 318x): the sequential grain is the transaction, not the tuple
 // access.
 func (b *Silo) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		l := tpcc.Pack(b.sc, b.txns, alloc, store)
-		return func(e guest.Env, mark func()) {
-			for i := range b.txns {
-				mark()
-				tpcc.ExecTxn(e, l, uint64(i))
+	var l *tpcc.Layout
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			l = tpcc.Pack(b.sc, b.txns, alloc, store)
+			return func(e guest.Env, mark func()) {
+				for i := range b.txns {
+					mark()
+					tpcc.ExecTxn(e, l, uint64(i))
+				}
 			}
-		}
-	}}
+		},
+		Verify: func(load func(uint64) uint64) error { return l.CompareExact(load, b.reference()) },
+	}
 }
 
 // ------------------------------------------------------------------ OCC --
-
-// HasParallel implements Benchmark.
-func (b *Silo) HasParallel() bool { return true }
 
 // occEnv adapts guest.Env to Silo's optimistic concurrency control: reads
 // record per-tuple versions, writes are buffered, and commit locks the
@@ -634,7 +618,7 @@ func (o *occEnv) commit() bool {
 	return true
 }
 
-// RunParallel implements Benchmark: worker threads claim transactions from
+// RunParallel implements Parallel: worker threads claim transactions from
 // a shared counter and run them under OCC, retrying on validation failure
 // (the wasted work that grows as warehouses shrink, Fig 13).
 func (b *Silo) RunParallel(nCores int) (uint64, error) {

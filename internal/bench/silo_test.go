@@ -8,7 +8,7 @@ import (
 
 func TestSiloSerial(t *testing.T) {
 	b := NewSilo(2, 120, 5)
-	cyc, err := b.RunSerial(1)
+	cyc, err := RunSerial(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSiloParallelOneWarehouse(t *testing.T) {
 func TestSiloSwarm(t *testing.T) {
 	b := NewSilo(2, 80, 5)
 	for _, cores := range []int{1, 4, 16} {
-		st, err := b.RunSwarm(core.DefaultConfig(cores))
+		st, err := RunSwarm(b, core.DefaultConfig(cores))
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
@@ -56,11 +56,11 @@ func TestSiloSwarmOneWarehouse(t *testing.T) {
 	// The Fig 13 headline: Swarm scales even with a single warehouse by
 	// exploiting intra-transaction parallelism.
 	b := NewSilo(1, 150, 7)
-	st1, err := b.RunSwarm(core.DefaultConfig(1))
+	st1, err := RunSwarm(b, core.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st16, err := b.RunSwarm(core.DefaultConfig(16))
+	st16, err := RunSwarm(b, core.DefaultConfig(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
@@ -106,23 +105,6 @@ func (b *SSSP) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *SSSP) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: Fig 1(a)'s sequential Dijkstra with a
-// binary-heap priority queue in guest memory.
-func (b *SSSP) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.g.M())+2)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, pq, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, gc)
-}
-
 func (b *SSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
 	pq.Push(e, 0, uint64(b.src))
 	for {
@@ -150,19 +132,21 @@ func (b *SSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: Fig 1(a)'s sequential Dijkstra with a
+// binary-heap priority queue in guest memory.
 func (b *SSSP) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
-	}}
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+	}
 }
 
-// HasParallel implements Benchmark.
-func (b *SSSP) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: Bellman-Ford with shared round-based
+// RunParallel implements Parallel: Bellman-Ford with shared round-based
 // worklists (as in the paper's Galois-derived baseline): threads relax
 // nodes out of priority order, revisiting nodes whose distance later
 // improves — wasted work in exchange for parallelism.

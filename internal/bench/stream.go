@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -183,26 +181,6 @@ func (b *Stream) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *Stream) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: the tuned serial operator k-way-merges
-// the sources through a binary heap keyed by next-tuple timestamp and
-// flushes windows as their boundaries pass — every tuple pays the heap's
-// pointer chasing, the false dependence §3 describes.
-func (b *Stream) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.nSrc)+1)
-	pos := swrt.NewArray(m.SetupAlloc, uint64(b.nSrc))
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, g, pq, pos, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, g)
-}
-
 // serialFlush drains one window's slot into its result row.
 func (b *Stream) serialFlush(e guest.Env, g guestStream, w uint64) {
 	slot := g.ring.SlotFor(w)
@@ -249,20 +227,19 @@ func (b *Stream) serialBody(e guest.Env, g guestStream, pq swrt.Heap, pos swrt.A
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: the tuned serial operator k-way-merges
+// the sources through a binary heap keyed by next-tuple timestamp and
+// flushes windows as their boundaries pass — every tuple pays the heap's
+// pointer chasing, the false dependence §3 describes.
 func (b *Stream) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		g := b.pack(alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.nSrc)+1)
-		pos := swrt.NewArray(alloc, uint64(b.nSrc))
-		return func(e guest.Env, mark func()) { b.serialBody(e, g, pq, pos, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark.
-func (b *Stream) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *Stream) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("stream has no software-parallel version")
+	var g guestStream
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			g = b.pack(alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.nSrc)+1)
+			pos := swrt.NewArray(alloc, uint64(b.nSrc))
+			return func(e guest.Env, mark func()) { b.serialBody(e, g, pq, pos, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
+	}
 }

@@ -24,7 +24,7 @@ func TestTinyQueuesAllApps(t *testing.T) {
 		cfg := core.DefaultConfig(4)
 		cfg.TaskQPerCore = 8
 		cfg.CommitQPerCore = 2
-		st, err := b.RunSwarm(cfg) // verification inside
+		st, err := RunSwarm(b, cfg) // verification inside
 		if err != nil {
 			t.Fatalf("%s under tiny queues: %v", meta.Name, err)
 		}
@@ -49,7 +49,7 @@ func TestRegisteredAppsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := b.RunSwarm(core.DefaultConfig(8))
+			st, err := RunSwarm(b, core.DefaultConfig(8))
 			if err != nil {
 				t.Fatalf("%s: %v", meta.Name, err)
 			}

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 )
 
 // TreeBuild constructs a forest of binary search trees top-down: tree t
@@ -188,11 +186,6 @@ func (b *TreeBuild) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *TreeBuild) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // serialBody replays the same nested insertion order serially; iterMark
 // flags one boundary per insert — the task grain.
 func (b *TreeBuild) serialBody(e guest.Env, keys, left, right, roots uint64, iterMark func()) {
@@ -247,28 +240,15 @@ func (b *TreeBuild) layoutSerial(alloc func(uint64) uint64, store func(addr, val
 	return
 }
 
-// RunSerial implements Benchmark.
-func (b *TreeBuild) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	keys, left, right, roots := b.layoutSerial(m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, keys, left, right, roots, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, roots, left, right)
-}
-
 // SerialApp implements Benchmark.
 func (b *TreeBuild) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		keys, left, right, roots := b.layoutSerial(alloc, store)
-		return func(e guest.Env, mark func()) { b.serialBody(e, keys, left, right, roots, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark.
-func (b *TreeBuild) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *TreeBuild) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("treebuild: no software-parallel version")
+	var left, right, roots uint64
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			var keys uint64
+			keys, left, right, roots = b.layoutSerial(alloc, store)
+			return func(e guest.Env, mark func()) { b.serialBody(e, keys, left, right, roots, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, roots, left, right) },
+	}
 }

@@ -128,7 +128,7 @@ func TestStatsCSVFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := b.RunSwarm(cfg)
+	st, err := bench.RunSwarm(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func (s *Suite) config(cores int) core.Config {
 // computed at most once per (app, cores) across all concurrent workers.
 func (s *Suite) Serial(b bench.Benchmark, nCores int) (uint64, error) {
 	cyc, _, err := s.serialCycles.Do(appCoresKey{b.Name(), nCores}, func() (uint64, error) {
-		return b.RunSerial(nCores)
+		return bench.RunSerial(b, nCores)
 	})
 	return cyc, err
 }
@@ -123,7 +123,7 @@ func (s *Suite) Serial(b bench.Benchmark, nCores int) (uint64, error) {
 // all share these runs.
 func (s *Suite) defaultRun(b bench.Benchmark, nCores int) (core.Stats, error) {
 	st, _, err := s.defaultRuns.Do(appCoresKey{b.Name(), nCores}, func() (core.Stats, error) {
-		return b.RunSwarm(s.config(nCores))
+		return bench.RunSwarm(b, s.config(nCores))
 	})
 	return st, err
 }
@@ -260,8 +260,8 @@ func (s *Suite) scalingPoint(b bench.Benchmark, nc int) (ScalingPoint, error) {
 		return ScalingPoint{}, fmt.Errorf("%s swarm @%dc: %w", b.Name(), nc, err)
 	}
 	pt := ScalingPoint{Cores: nc, SwarmCycles: st.Cycles, SerialCycles: serial, Stats: st}
-	if b.HasParallel() {
-		par, err := b.RunParallel(nc)
+	if p, ok := b.(bench.Parallel); ok {
+		par, err := p.RunParallel(nc)
 		if err != nil {
 			return ScalingPoint{}, fmt.Errorf("%s parallel @%dc: %w", b.Name(), nc, err)
 		}
@@ -333,11 +333,11 @@ func (s *Suite) Fig13(warehouses []int, cores, txns int) ([]SiloWarehousePoint, 
 		func(i int) string { return fmt.Sprintf("silo wh=%d", warehouses[i]) },
 		func(i int) error {
 			b := s.silo(warehouses[i], txns)
-			serial, err := b.RunSerial(cores)
+			serial, err := bench.RunSerial(b, cores)
 			if err != nil {
 				return err
 			}
-			st, err := b.RunSwarm(s.config(cores))
+			st, err := bench.RunSwarm(b, s.config(cores))
 			if err != nil {
 				return err
 			}
@@ -399,7 +399,7 @@ func (s *Suite) Table5(maxCores int) ([]Table5Row, error) {
 				}
 				cfg := s.config(cores)
 				v.tweak(&cfg)
-				return b.RunSwarm(cfg)
+				return bench.RunSwarm(b, cfg)
 			}
 			st1, err := run(1)
 			if err != nil {
@@ -476,7 +476,7 @@ func (s *Suite) sweep(cores int, variants []sweepVariant) ([]SweepPoint, error) 
 			v, b := variants[i/nb], s.Benchmarks[i%nb]
 			cfg := s.config(cores)
 			v.tweak(&cfg)
-			st, err := b.RunSwarm(cfg)
+			st, err := bench.RunSwarm(b, cfg)
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", b.Name(), v.errTag, err)
 			}
@@ -572,7 +572,7 @@ func (s *Suite) CanaryStudy(cores int) (checkReduction, gmeanSpeedup float64, er
 			}
 			cfgP := s.config(cores)
 			cfgP.Cache.CanaryPerLine = true
-			stP, err := b.RunSwarm(cfgP)
+			stP, err := bench.RunSwarm(b, cfgP)
 			if err != nil {
 				return err
 			}
@@ -633,7 +633,7 @@ func (s *Suite) MapperSweep(cores int, mappers []string) ([]MapperPoint, error) 
 			cfg := core.DefaultConfig(cores)
 			cfg.Mapper = name
 			cfg.Backend = s.backendName
-			st, err := b.RunSwarm(cfg)
+			st, err := bench.RunSwarm(b, cfg)
 			if err != nil {
 				return fmt.Errorf("%s mapper=%s: %w", b.Name(), name, err)
 			}
@@ -734,5 +734,5 @@ func (s *Suite) Fig18() (core.Stats, error) {
 	}
 	cfg := s.config(16)
 	cfg.TraceInterval = 500
-	return tagged[0].RunSwarm(cfg)
+	return bench.RunSwarm(tagged[0], cfg)
 }

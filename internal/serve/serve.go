@@ -263,7 +263,7 @@ func (s *Server) compute(spec JobSpec) (*jobResult, error) {
 		}
 		return &jobResult{Stats: phases[len(phases)-1].Cumulative, PhaseStats: phases}, nil
 	}
-	st, err := b.RunSwarm(cfg)
+	st, err := bench.RunSwarm(b, cfg)
 	if err != nil {
 		return nil, err
 	}

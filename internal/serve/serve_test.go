@@ -169,7 +169,7 @@ func directCSV(t *testing.T, spec JobSpec) string {
 			t.Fatal(err)
 		}
 	} else {
-		st, err := b.RunSwarm(spec.machineConfig())
+		st, err := bench.RunSwarm(b, spec.machineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ const (
 func runSimcoreOnce(tb testing.TB, b bench.Benchmark, backendName string) core.Stats {
 	cfg := core.DefaultConfig(simcoreCores)
 	cfg.Backend = backendName
-	st, err := b.RunSwarm(cfg)
+	st, err := bench.RunSwarm(b, cfg)
 	if err != nil {
 		tb.Fatalf("%s backend=%s: %v", b.Name(), backendName, err)
 	}
