@@ -112,6 +112,49 @@ func (d TaskDesc) Sub(i uint64) TaskDesc {
 	return d
 }
 
+// The child rules below are shared by every TaskEnv (the simulator's,
+// swarm-rt's and the oracle's), so a program one backend rejects every
+// backend rejects. A spatial hint is added with WithHint, where
+// WithHint(NoHint) leaves the child unhinted.
+
+// Child returns the descriptor of a task that d's body enqueues at ts: it
+// inherits d's nested path, staying inside d's slice of its timestamp
+// slot. A child timestamp before d's panics: tasks create children at
+// equal or later timestamps (§2.1).
+func (d TaskDesc) Child(fn FnID, ts uint64, args [3]uint64) TaskDesc {
+	if ts < d.TS {
+		childBeforeParent(ts, d.TS)
+	}
+	return TaskDesc{Fn: fn, TS: ts, Path: d.Path, Args: args}
+}
+
+// Forked returns the descriptor of the child d's body forks with fork
+// index fork: d's timestamp, d's path extended by fork. A body hands out
+// fork indices 0, 1, 2, ... in program order, starting again at 0 when
+// it re-executes.
+func (d TaskDesc) Forked(fork uint64, fn FnID, args [3]uint64) TaskDesc {
+	return TaskDesc{Fn: fn, TS: d.TS, Path: d.Path.Child(fork), Args: args}
+}
+
+// ArgWords packs a variadic argument list into a descriptor's three
+// argument words. More words panic: larger arguments go through memory
+// (§4.1).
+func ArgWords(args []uint64) (a [3]uint64) {
+	if len(args) > len(a) {
+		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
+	}
+	copy(a[:], args)
+	return a
+}
+
+// childBeforeParent keeps the panic's formatting out of line, so Child
+// stays small enough to inline into the enqueue paths.
+//
+//go:noinline
+func childBeforeParent(ts, parent uint64) {
+	panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, parent))
+}
+
 // Op is one operation surrendered by a guest.
 type Op struct {
 	Kind OpKind
@@ -518,43 +561,26 @@ type coTaskEnv struct {
 func (e *coTaskEnv) Timestamp() uint64 { return e.desc.TS }
 func (e *coTaskEnv) Arg(i int) uint64  { return e.desc.Args[i] }
 func (e *coTaskEnv) Enqueue(fn FnID, ts uint64, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueArgs(fn, ts, a)
+	e.EnqueueArgs(fn, ts, ArgWords(args))
 }
 
 func (e *coTaskEnv) EnqueueArgs(fn FnID, ts uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
-	e.co.post(OpEnqueue).Task = TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}
+	d := e.desc.Child(fn, ts, args)
+	e.co.post(OpEnqueue).Task = d
 }
 
 func (e *coTaskEnv) EnqueueHinted(fn FnID, ts uint64, hint uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
-	e.co.post(OpEnqueue).Task = TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint)
+	d := e.desc.Child(fn, ts, args).WithHint(hint)
+	e.co.post(OpEnqueue).Task = d
 }
 
 func (e *coTaskEnv) Fork(fn FnID, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueSub(fn, NoHint, a)
+	e.EnqueueSub(fn, NoHint, ArgWords(args))
 }
 
 func (e *coTaskEnv) EnqueueSub(fn FnID, hint uint64, args [3]uint64) {
-	d := TaskDesc{Fn: fn, TS: e.desc.TS, Path: e.desc.Path.Child(e.forks), Args: args}
+	d := e.desc.Forked(e.forks, fn, args).WithHint(hint)
 	e.forks++
-	if hint != NoHint {
-		d = d.WithHint(hint)
-	}
 	e.co.post(OpEnqueue).Task = d
 }
 

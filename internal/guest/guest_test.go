@@ -1,6 +1,11 @@
 package guest
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"github.com/swarm-sim/swarm/internal/tsdom"
+)
 
 // drive runs a coroutine to completion, answering ops with the given
 // function, and returns the ops observed.
@@ -118,6 +123,85 @@ func TestTooManyArgsPanics(t *testing.T) {
 		e.Enqueue(0, 10, 1, 2, 3, 4)
 	}, TaskDesc{TS: 10})
 	drive(co, func(Op) Result { return Result{} })
+}
+
+// panicValue runs f and returns what it panicked with (nil if nothing).
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestChildDescriptorRules pins the child rules every TaskEnv shares:
+// Child inherits the parent's path and rejects an earlier timestamp,
+// Forked extends the path by the fork index at the parent's timestamp,
+// and ArgWords packs up to three words.
+func TestChildDescriptorRules(t *testing.T) {
+	parent := TaskDesc{Fn: 1, TS: 10, Path: tsdom.Root.Child(2), Hint: 9, Args: [3]uint64{7, 8, 9}}
+	args := [3]uint64{4, 5, 6}
+	for _, ts := range []uint64{10, 11, 1 << 40} {
+		want := TaskDesc{Fn: 3, TS: ts, Path: parent.Path, Args: args}
+		if got := parent.Child(3, ts, args); got != want {
+			t.Errorf("Child(ts=%d) = %+v, want %+v", ts, got, want)
+		}
+	}
+	v := panicValue(func() { parent.Child(3, 9, args) })
+	if s, ok := v.(string); !ok || s != "guest: child timestamp 9 before parent 10" {
+		t.Errorf("Child before parent panicked with %v", v)
+	}
+	for i := uint64(0); i < 3; i++ {
+		want := TaskDesc{Fn: 3, TS: 10, Path: parent.Path.Child(i), Args: args}
+		if got := parent.Forked(i, 3, args); got != want {
+			t.Errorf("Forked(%d) = %+v, want %+v", i, got, want)
+		}
+	}
+	if k, ok := parent.Child(3, 10, args).WithHint(NoHint).HintKey(); ok {
+		t.Errorf("WithHint(NoHint) set hint key %d", k)
+	}
+	for n := 0; n <= 3; n++ {
+		in := []uint64{1, 2, 3}[:n]
+		var want [3]uint64
+		copy(want[:], in)
+		if got := ArgWords(in); got != want {
+			t.Errorf("ArgWords(%v) = %v", in, got)
+		}
+	}
+	v = panicValue(func() { ArgWords([]uint64{1, 2, 3, 4}) })
+	if s, ok := v.(string); !ok || !strings.Contains(s, "at most 3 argument words") {
+		t.Errorf("ArgWords with 4 words panicked with %v", v)
+	}
+}
+
+// TestCoTaskEnvChildren: the simulator's task environment posts exactly
+// the descriptors the shared rules build, fork indices counting up per
+// body run and hints attached only when given.
+func TestCoTaskEnvChildren(t *testing.T) {
+	parent := TaskDesc{TS: 10, Path: tsdom.Root.Child(1)}
+	co := StartTask(func(e TaskEnv) {
+		e.Enqueue(1, 12, 5)
+		e.EnqueueArgs(1, 10, [3]uint64{6})
+		e.EnqueueHinted(2, 13, 44, [3]uint64{7})
+		e.Fork(3, 8)
+		e.EnqueueSub(3, 45, [3]uint64{9})
+		e.EnqueueSub(3, NoHint, [3]uint64{10})
+	}, parent)
+	want := []TaskDesc{
+		parent.Child(1, 12, [3]uint64{5}),
+		parent.Child(1, 10, [3]uint64{6}),
+		parent.Child(2, 13, [3]uint64{7}).WithHint(44),
+		parent.Forked(0, 3, [3]uint64{8}),
+		parent.Forked(1, 3, [3]uint64{9}).WithHint(45),
+		parent.Forked(2, 3, [3]uint64{10}),
+	}
+	ops := drive(co, func(Op) Result { return Result{} })
+	if len(ops) != len(want)+1 {
+		t.Fatalf("ops = %+v", ops)
+	}
+	for i, w := range want {
+		if ops[i].Kind != OpEnqueue || ops[i].Task != w {
+			t.Errorf("op %d = %+v, want enqueue of %+v", i, ops[i], w)
+		}
+	}
 }
 
 func TestThreadProtocol(t *testing.T) {

@@ -117,37 +117,34 @@ func (p *profEnv) Arg(i int) uint64 { return p.desc.Args[i] }
 
 // Enqueue implements guest.TaskEnv.
 func (p *profEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	var a [3]uint64
-	copy(a[:], args)
-	p.EnqueueArgs(fn, ts, a)
+	p.EnqueueArgs(fn, ts, guest.ArgWords(args))
 }
 
-// EnqueueArgs implements guest.TaskEnv. Children inherit the parent's
-// nested path verbatim (matching the machine backends).
+// EnqueueArgs implements guest.TaskEnv.
 func (p *profEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
-	p.instrs++
-	p.push(guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args}, p.curIdx)
+	p.EnqueueHinted(fn, ts, guest.NoHint, args)
 }
 
-// EnqueueHinted implements guest.TaskEnv; the oracle's idealized scheduler
-// has no tiles, so the hint is dropped.
-func (p *profEnv) EnqueueHinted(fn guest.FnID, ts uint64, _ uint64, args [3]uint64) {
-	p.EnqueueArgs(fn, ts, args)
+// EnqueueHinted implements guest.TaskEnv under the machines' child rules
+// (guest.TaskDesc.Child). The oracle's idealized scheduler has no tiles,
+// so the hint is carried but unused.
+func (p *profEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
+	d := p.desc.Child(fn, ts, args).WithHint(hint)
+	p.instrs++
+	p.push(d, p.curIdx)
 }
 
 // Fork implements guest.TaskEnv.
 func (p *profEnv) Fork(fn guest.FnID, args ...uint64) {
-	var a [3]uint64
-	copy(a[:], args)
-	p.EnqueueSub(fn, guest.NoHint, a)
+	p.EnqueueSub(fn, guest.NoHint, guest.ArgWords(args))
 }
 
 // EnqueueSub implements guest.TaskEnv: the child lands inside the
 // parent's timestamp slot at the next fork index, so the profiler's
 // serial schedule interleaves it exactly where the machines commit it.
-func (p *profEnv) EnqueueSub(fn guest.FnID, _ uint64, args [3]uint64) {
+func (p *profEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
 	p.instrs++
-	p.push(guest.TaskDesc{Fn: fn, TS: p.desc.TS, Path: p.desc.Path.Child(p.forks), Args: args}, p.curIdx)
+	p.push(p.desc.Forked(p.forks, fn, args).WithHint(hint), p.curIdx)
 	p.forks++
 }
 

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/bench"
@@ -165,5 +166,36 @@ func TestProfileSerialExcludesPrologue(t *testing.T) {
 	}
 	if par := p.MaxParallelism(); par < 9 {
 		t.Fatalf("independent iterations parallelism %.1f; prologue leaked in?", par)
+	}
+}
+
+// TestProfileRejectsInvalidChildren: the profiler applies the machines'
+// child rules (guest.TaskDesc.Child, guest.ArgWords), so a program the
+// simulator and swarm-rt reject cannot yield a Table 1 profile.
+func TestProfileRejectsInvalidChildren(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		body       func(e guest.TaskEnv)
+	}{
+		{"enqueue before parent", "child timestamp 4 before parent 5",
+			func(e guest.TaskEnv) { e.Enqueue(0, e.Timestamp()-1) }},
+		{"hinted before parent", "child timestamp 4 before parent 5",
+			func(e guest.TaskEnv) { e.EnqueueHinted(0, e.Timestamp()-1, 3, [3]uint64{}) }},
+		{"enqueue 4 words", "at most 3 argument words",
+			func(e guest.TaskEnv) { e.Enqueue(0, e.Timestamp(), 1, 2, 3, 4) }},
+		{"fork 4 words", "at most 3 argument words",
+			func(e guest.TaskEnv) { e.Fork(0, 1, 2, 3, 4) }},
+	} {
+		build := func(b *guest.AppBuild) []guest.TaskDesc {
+			return []guest.TaskDesc{{Fn: b.Fn("bad", c.body), TS: 5}}
+		}
+		func() {
+			defer func() {
+				if s, ok := recover().(string); !ok || !strings.Contains(s, c.want) {
+					t.Errorf("%s: recovered %q, want a panic containing %q", c.name, s, c.want)
+				}
+			}()
+			ProfileTasks(build, 0)
+		}()
 	}
 }

@@ -163,18 +163,9 @@ func (e *taskEnv) Timestamp() uint64 { return e.desc.TS }
 // Arg implements guest.TaskEnv.
 func (e *taskEnv) Arg(i int) uint64 { return e.desc.Args[i] }
 
-// argWords packs a variadic argument list into a task descriptor's words.
-func argWords(args []uint64) (a [3]uint64) {
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	return a
-}
-
 // Enqueue implements guest.TaskEnv.
 func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	e.EnqueueArgs(fn, ts, argWords(args))
+	e.EnqueueArgs(fn, ts, guest.ArgWords(args))
 }
 
 // EnqueueArgs implements guest.TaskEnv: children are buffered and become
@@ -190,17 +181,15 @@ func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 // time only, so the hint is carried but unused. NoHint leaves the child
 // unhinted (WithHint(NoHint) sets no key).
 func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
+	d := e.desc.Child(fn, ts, args).WithHint(hint)
 	e.step(1)
-	e.children = append(e.children, guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint))
+	e.children = append(e.children, d)
 }
 
 // Fork implements guest.TaskEnv: a child ordered within the parent's
 // timestamp slot, after previously forked siblings.
 func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
-	e.EnqueueSub(fn, guest.NoHint, argWords(args))
+	e.EnqueueSub(fn, guest.NoHint, guest.ArgWords(args))
 }
 
 // EnqueueSub implements guest.TaskEnv. Fork indices restart at zero on
@@ -209,7 +198,7 @@ func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
 // re-execution comparison requires.
 func (e *taskEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
 	e.step(1)
-	d := guest.TaskDesc{Fn: fn, TS: e.desc.TS, Path: e.desc.Path.Child(e.forks), Args: args}
+	d := e.desc.Forked(e.forks, fn, args).WithHint(hint)
 	e.forks++
-	e.children = append(e.children, d.WithHint(hint))
+	e.children = append(e.children, d)
 }
