@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -17,15 +18,19 @@ import (
 //  1. no task commits before its parent (ordered commits, §4.6);
 //  2. an abort squashes every speculative descendant and no discarded
 //     incarnation ever commits (selective aborts, §4.5);
-//  3. the final memory state equals a serial execution in timestamp order
-//     (the correctness contract of ordered speculation as a whole).
+//  3. the final memory state equals a serial execution of the committed
+//     tasks in virtual-time order: timestamp order, with same-timestamp
+//     tasks in the order the machine chose for them (the correctness
+//     contract of ordered speculation as a whole).
 //
-// Each generated program is a forest of tasks with unique timestamps doing
-// random conflicting reads/writes over a tiny shared array, so runs abort
-// constantly and exercise rollback, cascades and the full-queue policies.
+// Each generated program is a forest of tasks whose timestamps come from a
+// small range, so many tasks share a timestamp, doing random conflicting
+// reads/writes over a tiny shared array: runs abort constantly and
+// exercise rollback, cascades, the full-queue policies and the order of
+// same-timestamp tasks in the commit queues.
 
-// propTask is one generated task: its unique timestamp, the shared-pool
-// words it touches, and its children (indices into the program table).
+// propTask is one generated task: its timestamp, the shared-pool words it
+// touches, and its children (indices into the program table).
 type propTask struct {
 	ts       uint64
 	reads    []int
@@ -40,14 +45,14 @@ type propProgram struct {
 	words int
 }
 
-// genProgram builds a random forest of n tasks. Timestamps are unique
-// (task i has timestamp i+1), children always have later timestamps than
-// their parent, and fan-out respects the 8-child hardware limit.
+// genProgram builds a random forest of n tasks. A root's timestamp is
+// drawn from 1..4 and a child's is its parent's plus 0..2, so timestamps
+// collide often while no child precedes its parent; fan-out respects the
+// 8-child hardware limit.
 func genProgram(rng *rand.Rand, n, words int) propProgram {
 	p := propProgram{tasks: make([]propTask, n), words: words}
 	for i := range p.tasks {
 		t := &p.tasks[i]
-		t.ts = uint64(i + 1)
 		for r := rng.Intn(4); r > 0; r-- {
 			t.reads = append(t.reads, rng.Intn(words))
 		}
@@ -57,16 +62,15 @@ func genProgram(rng *rand.Rand, n, words int) propProgram {
 	}
 	// Parent links: task i attaches to a random earlier task with spare
 	// child slots, or becomes a root (always a root for i == 0).
+	p.tasks[0].ts = 1 + uint64(rng.Intn(4))
 	for i := 1; i < n; i++ {
-		if rng.Intn(4) == 0 {
-			p.roots = append(p.roots, i)
-			continue
-		}
 		parent := rng.Intn(i)
-		if len(p.tasks[parent].children) >= 7 {
+		if rng.Intn(4) == 0 || len(p.tasks[parent].children) >= 7 {
+			p.tasks[i].ts = 1 + uint64(rng.Intn(4))
 			p.roots = append(p.roots, i)
 			continue
 		}
+		p.tasks[i].ts = p.tasks[parent].ts + uint64(rng.Intn(3))
 		p.tasks[parent].children = append(p.tasks[parent].children, i)
 	}
 	p.roots = append(p.roots, 0)
@@ -100,27 +104,65 @@ func (p propProgram) run(id uint64, load func(uint64) uint64, store func(uint64,
 	}
 }
 
-// serialOracle executes the program in timestamp order on host memory:
-// the specification Swarm's parallel execution must match.
-func (p propProgram) serialOracle() map[uint64]uint64 {
-	mem := map[uint64]uint64{}
-	p.serialOracleInto(mem)
-	return mem
+// commitRecord is one commit as debugCommitHook sees it: the task's
+// virtual time and its program-table id (argument 0).
+type commitRecord struct {
+	vt vt.Time
+	id uint64
 }
 
-// serialOracleInto executes the program in timestamp order over existing
-// memory — the phase-2 specification when a batch is injected after
-// quiescence.
-func (p propProgram) serialOracleInto(mem map[uint64]uint64) {
-	// Timestamps are the task ids + 1 and children always have larger ids,
-	// so executing in id order IS timestamp order, and every task is
-	// reachable exactly once (forest).
-	for id := range p.tasks {
-		p.run(uint64(id),
+// record appends tk's commit to log.
+func record(log *[]commitRecord, tk *task) {
+	*log = append(*log, commitRecord{tk.vt, tk.desc.Args[0]})
+}
+
+// serialReplay executes p serially over mem, one task per committed
+// record, in virtual-time order: the specification Swarm's parallel
+// execution must match. It fails unless every task committed exactly once
+// and after its parent.
+func (p propProgram) serialReplay(mem map[uint64]uint64, log []commitRecord) error {
+	if len(log) != len(p.tasks) {
+		return fmt.Errorf("%d commits for %d tasks", len(log), len(p.tasks))
+	}
+	parent := make([]int, len(p.tasks))
+	for i := range parent {
+		parent[i] = -1
+	}
+	for i, t := range p.tasks {
+		for _, c := range t.children {
+			parent[c] = i
+		}
+	}
+	sorted := slices.Clone(log)
+	slices.SortFunc(sorted, func(a, b commitRecord) int { return vt.Compare(a.vt, b.vt) })
+	done := make([]bool, len(p.tasks))
+	for _, c := range sorted {
+		if done[c.id] {
+			return fmt.Errorf("task %d committed twice", c.id)
+		}
+		if par := parent[c.id]; par >= 0 && !done[par] {
+			return fmt.Errorf("task %d orders before its parent %d in virtual time", c.id, par)
+		}
+		done[c.id] = true
+		p.run(c.id,
 			func(a uint64) uint64 { return mem[a] },
 			func(a, v uint64) { mem[a] = v },
 			func(int) {})
 	}
+	return nil
+}
+
+// sameSlotTies counts the other members of tk's commit queue that share
+// its timestamp and path: commits whose order only the tiebreak decides.
+func sameSlotTies(m *Machine, tk *task) int {
+	q := &m.tiles[tk.tile].commitQ
+	n := 0
+	for i := 0; i < q.Len(); i++ {
+		if o := q.At(i); o != tk && o.vt.TS == tk.vt.TS && o.vt.Path == tk.vt.Path {
+			n++
+		}
+	}
+	return n
 }
 
 func (p propProgram) program(base *uint64) *Program {
@@ -228,6 +270,7 @@ func propConfig(seed int64) Config {
 }
 
 func TestCommitProtocolProperties(t *testing.T) {
+	ties := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -242,6 +285,7 @@ func TestCommitProtocolProperties(t *testing.T) {
 			committed := map[uint64]bool{}
 			discarded := map[uint64]bool{}
 			var cascadeErr, commitErr error
+			var log []commitRecord
 
 			debugCommitHook = func(m *Machine, tk *task) {
 				// Property 1: a committing task's parent has already
@@ -252,6 +296,8 @@ func TestCommitProtocolProperties(t *testing.T) {
 						tk.desc.TS, tk.parent.desc.TS)
 				}
 				committed[tk.seq] = true
+				record(&log, tk)
+				ties += sameSlotTies(m, tk)
 			}
 			aborted := map[uint64]bool{}
 			debugAbortHook = func(m *Machine, victim *task, discard bool) {
@@ -296,12 +342,15 @@ func TestCommitProtocolProperties(t *testing.T) {
 					t.Fatalf("discarded task incarnation (seq %d) committed", seq)
 				}
 			}
-			// Property 3: final memory equals the serial oracle.
-			want := p.serialOracle()
+			// Property 3: final memory equals the serial replay.
+			want := map[uint64]uint64{}
+			if err := p.serialReplay(want, log); err != nil {
+				t.Fatal(err)
+			}
 			for w := 0; w < p.words; w++ {
 				addr := base + uint64(w)*8
 				if got := m.Mem().Load(addr); got != want[uint64(w)*8] {
-					t.Fatalf("word %d = %#x, want %#x (serial oracle)", w, got, want[uint64(w)*8])
+					t.Fatalf("word %d = %#x, want %#x (serial replay)", w, got, want[uint64(w)*8])
 				}
 			}
 			if st.Aborts == 0 && seed <= 5 {
@@ -309,6 +358,10 @@ func TestCommitProtocolProperties(t *testing.T) {
 			}
 		})
 	}
+	if ties == 0 {
+		t.Fatal("no commit found a same-timestamp, same-path task in its commit queue: the programs do not exercise the tiebreak")
+	}
+	t.Logf("%d same-slot commit-queue ties across all seeds", ties)
 }
 
 // TestCommitProtocolPhasedInjection extends the commit-protocol properties
@@ -329,12 +382,14 @@ func TestCommitProtocolPhasedInjection(t *testing.T) {
 			committed := map[uint64]bool{}
 			discarded := map[uint64]bool{}
 			var cascadeErr, commitErr error
+			var logs [2][]commitRecord // per phase: the task function is the phase
 			debugCommitHook = func(m *Machine, tk *task) {
 				if tk.parent != nil && commitErr == nil {
 					commitErr = fmt.Errorf("task ts=%d committed before its parent ts=%d",
 						tk.desc.TS, tk.parent.desc.TS)
 				}
 				committed[tk.seq] = true
+				record(&logs[tk.desc.Fn], tk)
 			}
 			debugAbortHook = func(m *Machine, victim *task, discard bool) {
 				for _, ch := range victim.children {
@@ -381,9 +436,12 @@ func TestCommitProtocolPhasedInjection(t *testing.T) {
 			if int(ph1.Commits) < len(p1.tasks) {
 				t.Fatalf("phase 1: only %d commits for %d tasks", ph1.Commits, len(p1.tasks))
 			}
-			// Mid-session check: phase 1's memory equals its serial oracle
+			// Mid-session check: phase 1's memory equals its serial replay
 			// before any phase-2 work is injected.
-			want := p1.serialOracle()
+			want := map[uint64]uint64{}
+			if err := p1.serialReplay(want, logs[0]); err != nil {
+				t.Fatalf("phase 1: %v", err)
+			}
 			for w := 0; w < p1.words; w++ {
 				addr := base + uint64(w)*8
 				if got := m.Mem().Load(addr); got != want[uint64(w)*8] {
@@ -420,12 +478,15 @@ func TestCommitProtocolPhasedInjection(t *testing.T) {
 					t.Fatalf("discarded task incarnation (seq %d) committed", seq)
 				}
 			}
-			// Final memory: phase 1 then phase 2, serially, in ts order.
-			p2.serialOracleInto(want)
+			// Final memory: phase 1 then phase 2, each replayed serially
+			// in virtual-time order.
+			if err := p2.serialReplay(want, logs[1]); err != nil {
+				t.Fatalf("phase 2: %v", err)
+			}
 			for w := 0; w < p2.words; w++ {
 				addr := base + uint64(w)*8
 				if got := m.Mem().Load(addr); got != want[uint64(w)*8] {
-					t.Fatalf("final word %d = %#x, want %#x (two-phase serial oracle)", w, got, want[uint64(w)*8])
+					t.Fatalf("final word %d = %#x, want %#x (two-phase serial replay)", w, got, want[uint64(w)*8])
 				}
 			}
 		})

@@ -187,7 +187,7 @@ func TestProfileRejectsInvalidChildren(t *testing.T) {
 			func(e guest.TaskEnv) { e.Fork(0, 1, 2, 3, 4) }},
 	} {
 		build := func(b *guest.AppBuild) []guest.TaskDesc {
-			return []guest.TaskDesc{{Fn: b.Fn("bad", c.body), TS: 5}}
+			return []guest.TaskDesc{{Fn: b.Fn("bad", once(c.body)), TS: 5}}
 		}
 		func() {
 			defer func() {
@@ -197,5 +197,15 @@ func TestProfileRejectsInvalidChildren(t *testing.T) {
 			}()
 			ProfileTasks(build, 0)
 		}()
+	}
+}
+
+// once runs body only in the root task (timestamp 5, argument 0), so a
+// profiler that wrongly accepts the child does not recurse forever.
+func once(body func(guest.TaskEnv)) func(guest.TaskEnv) {
+	return func(e guest.TaskEnv) {
+		if e.Timestamp() == 5 && e.Arg(0) == 0 {
+			body(e)
+		}
 	}
 }
