@@ -226,12 +226,7 @@ func (m *Machine) Now() uint64 { return m.eng.Now() }
 
 // EnqueueRoot inserts a parentless task during Setup (zero cost).
 func (m *Machine) EnqueueRoot(fn guest.FnID, ts uint64, args ...uint64) {
-	d := guest.TaskDesc{Fn: fn, TS: ts}
-	if len(args) > 3 {
-		panic("core: root tasks take at most 3 argument words")
-	}
-	copy(d.Args[:], args)
-	m.EnqueueRootDesc(d)
+	m.EnqueueRootDesc(guest.TaskDesc{Fn: fn, TS: ts, Args: guest.ArgWords(args)})
 }
 
 // EnqueueRootDesc inserts a parentless task descriptor during Setup.
