@@ -115,13 +115,14 @@ func (d TaskDesc) Sub(i uint64) TaskDesc {
 // The child rules below are shared by every TaskEnv (the simulator's,
 // swarm-rt's and the oracle's), so a program one backend rejects every
 // backend rejects. A spatial hint is added with WithHint, where
-// WithHint(NoHint) leaves the child unhinted.
+// WithHint(NoHint) leaves the child unhinted. The pointer receivers keep
+// the enqueue paths from copying the parent's descriptor.
 
 // Child returns the descriptor of a task that d's body enqueues at ts: it
 // inherits d's nested path, staying inside d's slice of its timestamp
 // slot. A child timestamp before d's panics: tasks create children at
 // equal or later timestamps (§2.1).
-func (d TaskDesc) Child(fn FnID, ts uint64, args [3]uint64) TaskDesc {
+func (d *TaskDesc) Child(fn FnID, ts uint64, args [3]uint64) TaskDesc {
 	if ts < d.TS {
 		childBeforeParent(ts, d.TS)
 	}
@@ -132,7 +133,7 @@ func (d TaskDesc) Child(fn FnID, ts uint64, args [3]uint64) TaskDesc {
 // index fork: d's timestamp, d's path extended by fork. A body hands out
 // fork indices 0, 1, 2, ... in program order, starting again at 0 when
 // it re-executes.
-func (d TaskDesc) Forked(fork uint64, fn FnID, args [3]uint64) TaskDesc {
+func (d *TaskDesc) Forked(fork uint64, fn FnID, args [3]uint64) TaskDesc {
 	return TaskDesc{Fn: fn, TS: d.TS, Path: d.Path.Child(fork), Args: args}
 }
 

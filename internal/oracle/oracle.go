@@ -127,9 +127,9 @@ func (p *profEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 
 // EnqueueHinted implements guest.TaskEnv under the machines' child rules
 // (guest.TaskDesc.Child). The oracle's idealized scheduler has no tiles,
-// so the hint is carried but unused.
-func (p *profEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
-	d := p.desc.Child(fn, ts, args).WithHint(hint)
+// so the hint is dropped.
+func (p *profEnv) EnqueueHinted(fn guest.FnID, ts uint64, _ uint64, args [3]uint64) {
+	d := p.desc.Child(fn, ts, args)
 	p.instrs++
 	p.push(d, p.curIdx)
 }
@@ -142,9 +142,9 @@ func (p *profEnv) Fork(fn guest.FnID, args ...uint64) {
 // EnqueueSub implements guest.TaskEnv: the child lands inside the
 // parent's timestamp slot at the next fork index, so the profiler's
 // serial schedule interleaves it exactly where the machines commit it.
-func (p *profEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
+func (p *profEnv) EnqueueSub(fn guest.FnID, _ uint64, args [3]uint64) {
 	p.instrs++
-	p.push(p.desc.Forked(p.forks, fn, args).WithHint(hint), p.curIdx)
+	p.push(p.desc.Forked(p.forks, fn, args), p.curIdx)
 	p.forks++
 }
 
