@@ -299,7 +299,7 @@ func (b *IncSSSP) SerialApp() SerialApp { return b.serialApp(1) }
 // against thousands of relaxations).
 func (b *IncSSSP) SerialPhasesApp() SerialApp { return b.serialApp(b.PhaseCount()) }
 
-// serialApp runs the first phases phases and verifies the last of them.
+// serialApp runs phases 1 through phases and verifies the last of them.
 func (b *IncSSSP) serialApp(phases int) SerialApp {
 	var gc graph.GuestCSR
 	return SerialApp{
